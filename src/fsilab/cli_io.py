@@ -22,7 +22,7 @@ import numpy as np
 from .core_grid import FluidField, BeamField, Grid2D, build_grid, integrate_beam, integrate_fluid
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
 from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local, state_norm
-from .fs_operator import assemble_coupled, gamma_search, restrict_Xm, spectrum
+from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, spectrum
 from .linear_subsystems import PhysParams, manufactured_convergence, step_density
 from .nonlinear_sources import FullState, eval_global_sources
 
@@ -561,11 +561,10 @@ def _drive_spectrum(cfg: RunConfig, out: pathlib.Path):
     grid = cfg.make_grid()
     params = cfg.physical()
     op = assemble_coupled(grid, params)
-    vals_full = spectrum(op, restrict="full")
     vals = spectrum(op, restrict="mean_zero")
     _write_csv(out / "eigenvalues.csv", ("re", "im"), [(z.real, z.imag) for z in vals])
     max_re = float(vals.real.max())
-    kernel_dim = int(np.sum(np.abs(vals_full) < 1e-8))
+    kernel_dim = kernel_dimension(op, vals)
     checks = [
         _check_lt("max-re-mean-zero", max_re, 0.0),
         _check_close("kernel-dimension", kernel_dim, 2.0, 0.0),

@@ -27,13 +27,16 @@ Discretization choices that matter for the spectral checks:
 The conserved quantities give the matrix an exact two-dimensional kernel;
 `kernel_vectors` returns it in closed form and `restrict_Xm` deflates it so
 spectra and sector scans can be read on the mean-zero subspace where the
-dynamics is exponentially stable.
+dynamics is exponentially stable.  The deflation is a rank-2 update
+U C of the sparse generator: dense spectra read the filled sum, while the
+sector scan keeps the factors and solves with the sparse LU of lam I - A
+plus a 2x2 capacitance correction (the Woodbury identity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as la
@@ -53,6 +56,7 @@ from .nonlinear_sources import FullState
 __all__ = [
     "BlockLayout",
     "OperatorMatrix",
+    "Deflation",
     "SectorScanResult",
     "PerturbationReport",
     "DEFLATION_SHIFT",
@@ -65,6 +69,7 @@ __all__ = [
     "vector_to_state",
     "constraint_functionals",
     "kernel_vectors",
+    "kernel_dimension",
     "project_mean_zero",
     "restrict_Xm",
     "spectrum",
@@ -210,6 +215,16 @@ def vector_to_state(layout: BlockLayout, vec: np.ndarray, t: float = 0.0) -> Ful
 # ---------------------------------------------------------------- matrices
 
 
+class Deflation(NamedTuple):
+    """Rank-2 deflation `matrix = base + left @ right` of a mean-zero
+    operator: `base` is the sparse generator, `left` (n, 2) and `right`
+    (2, n) are dense."""
+
+    base: sp.csr_matrix
+    left: np.ndarray
+    right: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Sparse operator plus the metadata the solvers and scans need.
@@ -217,6 +232,10 @@ class OperatorMatrix:
     `weights` is the diagonal of the quadrature inner product used for all
     reported norms (a trapezoid L2 proxy for the function-space norms; the
     limitation is deliberate and shared by every consumer in this module).
+    `deflation`, set by `restrict_Xm`, holds the factors of `matrix` so
+    that resolvent samples can factor the sparse base instead.  It must
+    satisfy `matrix == base + left @ right`: replacing `matrix` alone leaves
+    stale factors, which `sector_scan` rejects.
     """
 
     matrix: sp.csr_matrix
@@ -226,6 +245,7 @@ class OperatorMatrix:
     layout: Optional[BlockLayout] = None
     grid: Optional[Grid2D] = None
     params: Optional[PhysParams] = None
+    deflation: Optional[Deflation] = None
 
     def __post_init__(self):
         n, m = self.matrix.shape
@@ -239,6 +259,13 @@ class OperatorMatrix:
             raise ConfigError(f"unknown operator domain {self.domain!r}")
         if self.layout is not None and self.layout.total != n:
             raise ConfigError("layout size does not match operator size")
+        if self.deflation is not None and (
+            self.domain != "mean_zero"
+            or self.deflation.base.shape != (n, n)
+            or self.deflation.left.shape != (n, 2)
+            or self.deflation.right.shape != (2, n)
+        ):
+            raise ConfigError("deflation factors must match a mean-zero operator")
 
     @property
     def shape(self):
@@ -560,7 +587,14 @@ def project_mean_zero(
 def restrict_Xm(op: OperatorMatrix) -> OperatorMatrix:
     """Deflate the two conserved-quantity kernel directions to
     DEFLATION_SHIFT so the matrix becomes invertible and its remaining
-    spectrum is exactly the mean-zero-subspace spectrum."""
+    spectrum is exactly the mean-zero-subspace spectrum.
+
+    The deflation is the rank-2 update U C with U = shift K (C K)^{-1} and
+    C the constraint functionals.  `matrix` is the filled sum A + U C, which
+    dense spectra and matrix-vector products use; `deflation` keeps A, U
+    and C apart, and resolvent samples solve with the sparse LU of
+    lam I - A and the Woodbury identity instead of factoring the fill.
+    """
     if op.layout is None:
         raise ConfigError("mean-zero restriction needs a coupled operator")
     if op.domain == "mean_zero":
@@ -578,7 +612,27 @@ def restrict_Xm(op: OperatorMatrix) -> OperatorMatrix:
         layout=op.layout,
         grid=op.grid,
         params=op.params,
+        deflation=Deflation(op.matrix, DEFLATION_SHIFT * shift, cons),
     )
+
+
+def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
+    """Kernel dimension of a full coupled operator, read off its
+    mean-zero spectrum.
+
+    When the constraint functionals C are left null vectors of A (certified
+    by max|C A| <= 1e-12 max|A|), the mean-zero spectrum is A's spectrum
+    with its two kernel eigenvalues moved to the shift, so the kernel has
+    dimension 2 plus the mean-zero eigenvalues below 1e-8.  Without the
+    certificate the dimension is unknown and NaN is returned.
+    """
+    if op.layout is None or op.domain != "full":
+        raise ConfigError("kernel dimension needs a full-domain coupled operator")
+    cons = constraint_functionals(op.layout, op.params)
+    resid = np.abs(op.matrix.T @ cons.T).max()
+    if not resid <= 1e-12 * np.abs(op.matrix.data).max():
+        return float("nan")
+    return 2.0 + float(np.sum(np.abs(mean_zero_vals) < 1e-8))
 
 
 # ---------------------------------------------------------------- spectra
@@ -845,26 +899,79 @@ def _weight_gram(op: OperatorMatrix, rho_norm: str) -> sp.csr_matrix:
     return gram
 
 
+def _gram_maps(gram: sp.csr_matrix):
+    """(apply, solve) of the norm's Gram matrix; a non-diagonal Gram is
+    factored here, once per scan."""
+    diag = gram.diagonal()
+    if gram.nnz == np.count_nonzero(diag):
+        return (lambda z: diag * z), (lambda z: z / diag)
+    glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
+    return (lambda z: gram @ z), glu.solve
+
+
+def _check_deflation(op: OperatorMatrix) -> None:
+    """Raise ConfigError unless `op.matrix` equals its deflation factors
+    base + left @ right, probed with one fixed vector."""
+    defl = op.deflation
+    v = np.cos(np.arange(op.shape[0]))
+    base_v = defl.base @ v
+    update_v = defl.left @ (defl.right @ v)
+    scale = np.linalg.norm(base_v) + np.linalg.norm(update_v)
+    if not np.linalg.norm(op.matrix @ v - base_v - update_v) <= 1e-10 * scale:
+        raise ConfigError("operator matrix does not match its deflation factors")
+
+
+def _resolvent_solver(op: OperatorMatrix, lam: complex):
+    """solve(x, trans) applying (lam I - A)^{-1} ("N") or its adjoint ("H").
+
+    A deflated operator A = base + U C factors the sparse lam I - base and
+    corrects through the 2x2 capacitance S = I - C (lam I - base)^{-1} U:
+    (lam I - A)^{-1} = B^{-1} + B^{-1} U S^{-1} C B^{-1}.  A capacitance
+    that loses half the digits (lam at the deflation shift) raises
+    NumericsError, as a failed factorization does.
+    """
+    n = op.shape[0]
+    defl = op.deflation
+    base = op.matrix if defl is None else defl.base
+    mat = (lam * sp.identity(n, format="csr") - base).tocsc().astype(complex)
+    lu = _splu(mat, f"sector sample at {lam}")
+    if defl is None:
+        return lu.solve
+    bu = lu.solve(defl.left.astype(complex))
+    coupling = defl.right @ bu
+    cap = np.eye(2) - coupling
+    floor = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(coupling, 2))
+    if not np.linalg.svd(cap, compute_uv=False)[-1] > floor:
+        raise NumericsError(f"sector sample at {lam}: deflation capacitance is singular")
+    inv = np.linalg.inv(cap)
+    fix_n = bu @ inv  # B^{-1} U S^{-1}
+    fix_h = lu.solve(defl.right.T.astype(complex), trans="H") @ inv.conj().T  # B^{-H} C^T S^{-H}
+
+    def solve(x, trans="N"):
+        if trans == "N":
+            y = lu.solve(x)
+            return y + fix_n @ (defl.right @ y)
+        y = lu.solve(x, trans="H")
+        return y + fix_h @ (defl.left.T @ y)
+
+    return solve
+
+
 def _scaled_resolvent_norm(
     op: OperatorMatrix,
     lam: complex,
-    gram: sp.csr_matrix,
+    gram_maps,
     rng: np.random.Generator,
     iters: int,
+    gamma: float,
 ) -> float:
-    """||lam (lam I - A)^{-1}|| in the quadrature norm via power iteration
-    on the weighted normal operator."""
+    """||lam (lam I - (A - gamma))^{-1}|| in the quadrature norm via power
+    iteration on the weighted normal operator; `gram_maps` is
+    `_gram_maps(gram)`.  The shift is folded into the solver's lam + gamma,
+    so no shifted copy of A is made."""
     n = op.shape[0]
-    mat = (lam * sp.identity(n, format="csr") - op.matrix).tocsc().astype(complex)
-    lu = _splu(mat, f"sector sample at {lam}")
-    diag = gram.diagonal()
-    if gram.nnz == np.count_nonzero(diag):
-        w_apply = lambda z: diag * z
-        w_solve = lambda z: z / diag
-    else:
-        glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
-        w_apply = lambda z: gram @ z
-        w_solve = lambda z: glu.solve(z)
+    solve = _resolvent_solver(op, lam + gamma)
+    w_apply, w_solve = gram_maps
 
     # power iteration on the weighted normal operator R* R; the singular
     # value estimate is ||R x|| for the current unit-norm iterate
@@ -872,9 +979,9 @@ def _scaled_resolvent_norm(
     x /= np.sqrt(np.real(np.vdot(x, w_apply(x))))
     value = 0.0
     for _ in range(iters):
-        y = lu.solve(x)
+        y = solve(x)
         value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
-        z = w_solve(lu.solve(w_apply(y), trans="H"))
+        z = w_solve(solve(w_apply(y), trans="H"))
         nrm = np.sqrt(abs(np.real(np.vdot(z, w_apply(z)))))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericsError(f"power iteration collapsed at {lam}")
@@ -908,16 +1015,9 @@ def sector_scan(
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("sector scan needs positive sample radii")
     rng = np.random.default_rng(seed)
-    gram = _weight_gram(op, rho_norm)
-    shifted = OperatorMatrix(
-        matrix=(op.matrix - gamma * sp.identity(op.shape[0], format="csr")).tocsr(),
-        domain=op.domain,
-        weights=op.weights,
-        label=op.label,
-        layout=op.layout,
-        grid=op.grid,
-        params=op.params,
-    )
+    if op.deflation is not None:
+        _check_deflation(op)
+    gram_maps = _gram_maps(_weight_gram(op, rho_norm))
     angles = [0.0, beta / 2.0, max(beta - angle_margin, beta * 0.5)]
     lambdas = []
     for r in radii:
@@ -930,7 +1030,7 @@ def sector_scan(
     singular = []
     for lam in lambdas:
         try:
-            val = _scaled_resolvent_norm(shifted, lam, gram, rng, power_iters)
+            val = _scaled_resolvent_norm(op, lam, gram_maps, rng, power_iters, gamma)
         except NumericsError:
             singular.append(lam)
             continue

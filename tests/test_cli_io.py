@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import contextlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fsilab.cli_io import (
     MODES,
@@ -19,6 +21,7 @@ from fsilab.cli_io import (
 )
 from fsilab.core_grid import build_grid
 from fsilab.errors import ConfigError
+from fsilab.fs_operator import assemble_coupled, spectrum
 from fsilab.linear_subsystems import default_params
 from fsilab.nonlinear_sources import check_compatibility
 
@@ -265,6 +268,41 @@ def test_spectrum_mode_artifacts(tmp_path):
     res = [float(r[0]) for r in rows[1:]]
     assert res == sorted(res, reverse=True)
     assert all(r < 0 for r in res)
+
+
+def test_spectrum_mode_runs_one_eigensolve(tmp_path, monkeypatch):
+    import fsilab.cli_io as cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("restrict"))
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum", counted)
+    report = run_scenario(parse_config(f"mode = spectrum\nnx = 8\nout_dir = {tmp_path}\n"))
+    assert calls == ["mean_zero"]
+    assert report.passed
+    kdim = next(c for c in report.checks if c.name == "kernel-dimension")
+    assert kdim.value == 2.0
+
+
+def test_spectrum_kernel_check_needs_left_null_certificate(tmp_path, monkeypatch):
+    import fsilab.cli_io as cli
+
+    def broken(grid, params):
+        # one density diagonal entry moved: the mass functional no longer
+        # annihilates the generator
+        op = assemble_coupled(grid, params)
+        bump = sp.csr_matrix(([1e-6 * abs(op.matrix).max()], ([0], [0])), shape=op.shape)
+        return dataclasses.replace(op, matrix=(op.matrix + bump).tocsr())
+
+    monkeypatch.setattr(cli, "assemble_coupled", broken)
+    report = run_scenario(parse_config(f"mode = spectrum\nnx = 8\nout_dir = {tmp_path}\n"))
+    kdim = next(c for c in report.checks if c.name == "kernel-dimension")
+    assert not kdim.passed
+    assert kdim.value != 2.0
+    assert not report.passed
 
 
 def test_sector_mode_artifacts(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +7,15 @@ import scipy.sparse as sp
 from fsilab.core_grid import build_grid, diff_ops
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.linear_subsystems import default_params, plate_operator
+import fsilab.fs_operator as fs_operator
 from fsilab.fs_operator import (
+    DEFLATION_SHIFT,
     OperatorMatrix,
+    _gram_maps,
+    _resolvent_solver,
+    _scaled_resolvent_norm,
+    _splu,
+    _weight_gram,
     assemble_block,
     assemble_coupled,
     block_layout,
@@ -420,6 +429,96 @@ def test_coupled_high_radius_value_near_one():
     scan = sector_scan(defl, BETA, [1e4])
     mask = np.abs(scan.lambdas - 1e4) < 1e-3
     assert np.abs(scan.values[mask] - 1.0).max() < 0.1
+
+
+def _filled_reference_norms(defl, lambdas, gamma=0.0, seed=0, iters=30):
+    """Sector norms from the LU of the filled deflated matrix, through the
+    seeded power iteration of the scan."""
+    size = defl.shape[0]
+    gram = _weight_gram(defl, "l2")
+    glu = _splu(gram.tocsc().astype(complex), "reference Gram")
+    rng = np.random.default_rng(seed)
+    out = []
+    for lam in lambdas:
+        mat = (lam + gamma) * sp.identity(size, format="csr") - defl.matrix
+        lu = _splu(mat.tocsc().astype(complex), "reference")
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        x /= np.sqrt(np.real(np.vdot(x, gram @ x)))
+        for _ in range(iters):
+            y = lu.solve(x)
+            value = np.sqrt(abs(np.real(np.vdot(y, gram @ y))))
+            z = glu.solve(lu.solve(gram @ y, trans="H"))
+            x = z / np.sqrt(abs(np.real(np.vdot(z, gram @ z))))
+        out.append(abs(lam) * value)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_sector_woodbury_matches_filled_factor(n, monkeypatch):
+    defl = restrict_Xm(coupled(n))
+    factored = []
+
+    def recording(mat, what):
+        factored.append(mat.nnz)
+        return _splu(mat, what)
+
+    monkeypatch.setattr(fs_operator, "_splu", recording)
+    scan = sector_scan(defl, 2.356, [1e-2, 1.0, 1e2, 1e4], seed=0)
+    monkeypatch.undo()
+    assert scan.singular == () and scan.values.size == 20
+    # one Gram factor, then one factor per sample, none of the filled matrix
+    assert len(factored) == 21
+    assert max(factored) < defl.matrix.nnz
+    ref = _filled_reference_norms(defl, scan.lambdas)
+    assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
+
+
+@pytest.mark.parametrize("lam", [1e-2j, 1.0 + 1.0j, -50.0 + 80.0j, 1e4])
+def test_woodbury_solves_match_filled_factor(lam):
+    defl = restrict_Xm(coupled(8))
+    size = defl.shape[0]
+    mat = (lam * sp.identity(size, format="csr") - defl.matrix).tocsc().astype(complex)
+    lu = _splu(mat, "reference")
+    solve = _resolvent_solver(defl, lam)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for trans in ("N", "H"):
+        ref = lu.solve(x, trans=trans)
+        assert np.linalg.norm(solve(x, trans=trans) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_sector_woodbury_carries_gamma_shift():
+    defl = restrict_Xm(coupled(8))
+    scan = sector_scan(defl, 2.356, [1.0, 1e2], gamma=0.5, seed=3)
+    ref = _filled_reference_norms(defl, scan.lambdas, gamma=0.5, seed=3)
+    assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
+
+
+def test_resolvent_norm_at_deflation_shift_is_singular():
+    defl = restrict_Xm(coupled(8))
+    maps = _gram_maps(_weight_gram(defl, "l2"))
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericsError):
+        _scaled_resolvent_norm(defl, complex(DEFLATION_SHIFT), maps, rng, 30, 0.0)
+
+
+def test_deflation_factors_must_fit_a_mean_zero_operator():
+    defl = restrict_Xm(coupled(6))
+    assert np.allclose(
+        (defl.deflation.base + defl.deflation.left @ defl.deflation.right), defl.matrix.toarray()
+    )
+    with pytest.raises(ConfigError):
+        OperatorMatrix(
+            matrix=defl.matrix, domain="full", weights=defl.weights, label="x",
+            deflation=defl.deflation,
+        )
+
+
+def test_sector_scan_rejects_stale_deflation_factors():
+    defl = restrict_Xm(coupled(6))
+    stale = dataclasses.replace(defl, matrix=(2.0 * defl.matrix).tocsr())
+    with pytest.raises(ConfigError):
+        sector_scan(stale, BETA, [1.0])
 
 
 def test_sector_bound_stable_under_refinement():
