@@ -22,8 +22,8 @@ import numpy as np
 from .core_grid import FluidField, BeamField, Grid2D, build_grid, integrate_beam, integrate_fluid
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
 from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local, state_norm
-from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, spectrum
-from .linear_subsystems import PhysParams, manufactured_convergence, step_density
+from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, sector_rim, spectrum
+from .linear_subsystems import PhysParams, _identity_metric, manufactured_convergence, step_density
 from .nonlinear_sources import FullState, eval_global_sources
 
 __all__ = [
@@ -579,7 +579,7 @@ def _drive_sector(cfg: RunConfig, out: pathlib.Path):
     grid = cfg.make_grid()
     params = cfg.physical()
     op = restrict_Xm(assemble_coupled(grid, params))
-    radii = (1e-2, 1.0, 1e2, 1e4)
+    radii = (1e-2, 1.0, 1e2, sector_rim(op))
     gamma, scan = gamma_search(op, cfg.beta, radii, seed=cfg.seed)
     _write_csv(
         out / "sector.csv",
@@ -603,9 +603,8 @@ def _drive_sector(cfg: RunConfig, out: pathlib.Path):
 def _density_closed_form_error(n_steps: int = 100, dt: float = 1e-3) -> float:
     # v = (x, y) contracts the density linearly: rho = 1 - 2 t exactly
     grid = build_grid(1.0, 1.0, 12, 12)
-    eye = np.zeros(grid.shape + (2, 2))
-    eye[..., 0, 0] = eye[..., 1, 1] = 1.0
-    mets = (eye, np.ones(grid.shape), eye.copy())
+    eye = _identity_metric(grid)
+    mets = (eye, np.ones(grid.shape), eye)
     rho0 = np.ones(grid.shape)
     v = np.stack([grid.xx, grid.yy], axis=-1)
     zero = np.zeros(grid.shape)

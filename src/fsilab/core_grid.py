@@ -121,18 +121,22 @@ class Grid2D:
     @cached_property
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights per node; they sum to L * H."""
-        wx = np.full(self.nx + 1, self.hx)
-        wx[0] = wx[-1] = 0.5 * self.hx
-        wy = np.full(self.ny + 1, self.hy)
-        wy[0] = wy[-1] = 0.5 * self.hy
-        return np.outer(wx, wy)
+        return np.outer(
+            _trapezoid_widths(self.nx + 1, self.hx), _trapezoid_widths(self.ny + 1, self.hy)
+        )
 
     @cached_property
     def beam_weights(self) -> np.ndarray:
         """Trapezoid weights on the beam nodes; they sum to L."""
-        w = np.full(self.nx + 1, self.hx)
-        w[0] = w[-1] = 0.5 * self.hx
-        return w
+        return _trapezoid_widths(self.nx + 1, self.hx)
+
+
+def _trapezoid_widths(n_nodes: int, h: float) -> np.ndarray:
+    """Per-axis trapezoid widths of n_nodes equispaced nodes: the spacing h
+    inside and h / 2 at both ends."""
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 def build_grid(L: float, H: float, nx: int, ny: int) -> Grid2D:

@@ -40,6 +40,7 @@ from .linear_subsystems import (
     SourceBundle,
     TemperatureStepper,
     VelocityStepper,
+    _identity_metric,
     _splu,
     default_params,
     plate_energy,
@@ -47,7 +48,7 @@ from .linear_subsystems import (
     step_plate,
 )
 from .nonlinear_sources import FullState, check_compatibility, eval_global_sources, eval_local_sources
-from .fs_operator import _grid_operators, _identity_metric, _selection, assemble_coupled, pack_fields, unpack_fields
+from .fs_operator import _grid_operators, _selection, assemble_coupled, pack_fields, unpack_fields
 
 GAMMA1 = 1.0
 _FLOOR = 1e-30

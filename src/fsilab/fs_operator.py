@@ -25,18 +25,21 @@ Discretization choices that matter for the spectral checks:
   perturbing smooth fields only at the scheme's own O(h^2) level.
 
 The conserved quantities give the matrix an exact two-dimensional kernel;
-`kernel_vectors` returns it in closed form and `restrict_Xm` deflates it so
-spectra and sector scans can be read on the mean-zero subspace where the
-dynamics is exponentially stable.  The deflation is a rank-2 update
-U C of the sparse generator: dense spectra read the filled sum, while the
-sector scan keeps the factors and solves with the sparse LU of lam I - A
-plus a 2x2 capacitance correction (the Woodbury identity).
+`kernel_vectors` returns it in closed form.  The constraint functionals C
+are left null vectors of A, so every resolvent of A leaves the mean-zero
+subspace {C x = 0} invariant, and the dynamics is exponentially stable
+there.  A mean-zero operator (`restrict_Xm`) is therefore A itself with a
+domain tag, and its consumers project instead of shifting the kernel away:
+spectra drop the two kernel eigenvalues, and sector scans measure
+lam (lam I - A)^{-1} on the image of the Gram-orthogonal projector onto
+{C x = 0}, solving with the sparse LU of lam I - A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
@@ -47,7 +50,9 @@ from .core_grid import BeamField, FluidField, Grid2D, diff_ops
 from .errors import ConfigError, NumericsError
 from .linear_subsystems import (
     PhysParams,
+    _d1_matrix,
     _fv_diffusion,
+    _identity_metric,
     _splu,
     plate_operator,
 )
@@ -56,10 +61,8 @@ from .nonlinear_sources import FullState
 __all__ = [
     "BlockLayout",
     "OperatorMatrix",
-    "Deflation",
     "SectorScanResult",
     "PerturbationReport",
-    "DEFLATION_SHIFT",
     "block_layout",
     "assemble_coupled",
     "assemble_block",
@@ -73,16 +76,13 @@ __all__ = [
     "project_mean_zero",
     "restrict_Xm",
     "spectrum",
+    "sector_rim",
     "resolvent_solve",
     "energy_rate",
     "sector_scan",
     "gamma_search",
     "perturbation_check",
 ]
-
-# Shift used to move the two conserved-quantity kernel directions far into
-# the left half plane when restricting to the mean-zero subspace.
-DEFLATION_SHIFT = -1.0e6
 
 # Dense eigensolves beyond this stacked dimension are not worth the wait.
 MAX_DENSE_DIM = 8200
@@ -215,16 +215,6 @@ def vector_to_state(layout: BlockLayout, vec: np.ndarray, t: float = 0.0) -> Ful
 # ---------------------------------------------------------------- matrices
 
 
-class Deflation(NamedTuple):
-    """Rank-2 deflation `matrix = base + left @ right` of a mean-zero
-    operator: `base` is the sparse generator, `left` (n, 2) and `right`
-    (2, n) are dense."""
-
-    base: sp.csr_matrix
-    left: np.ndarray
-    right: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Sparse operator plus the metadata the solvers and scans need.
@@ -232,10 +222,9 @@ class OperatorMatrix:
     `weights` is the diagonal of the quadrature inner product used for all
     reported norms (a trapezoid L2 proxy for the function-space norms; the
     limitation is deliberate and shared by every consumer in this module).
-    `deflation`, set by `restrict_Xm`, holds the factors of `matrix` so
-    that resolvent samples can factor the sparse base instead.  It must
-    satisfy `matrix == base + left @ right`: replacing `matrix` alone leaves
-    stale factors, which `sector_scan` rejects.
+    `domain="mean_zero"` marks `matrix` as acting on the subspace
+    {C x = 0} of the constraint functionals C; the matrix itself is not
+    changed, and spectra and sector scans project onto that subspace.
     """
 
     matrix: sp.csr_matrix
@@ -245,7 +234,6 @@ class OperatorMatrix:
     layout: Optional[BlockLayout] = None
     grid: Optional[Grid2D] = None
     params: Optional[PhysParams] = None
-    deflation: Optional[Deflation] = None
 
     def __post_init__(self):
         n, m = self.matrix.shape
@@ -259,13 +247,6 @@ class OperatorMatrix:
             raise ConfigError(f"unknown operator domain {self.domain!r}")
         if self.layout is not None and self.layout.total != n:
             raise ConfigError("layout size does not match operator size")
-        if self.deflation is not None and (
-            self.domain != "mean_zero"
-            or self.deflation.base.shape != (n, n)
-            or self.deflation.left.shape != (n, 2)
-            or self.deflation.right.shape != (2, n)
-        ):
-            raise ConfigError("deflation factors must match a mean-zero operator")
 
     @property
     def shape(self):
@@ -300,24 +281,6 @@ def _second_diff_interior(n: int, h: float) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _one_sided_first(n: int, h: float) -> sp.csr_matrix:
-    """1-D first derivative, centered inside and second-order one-sided at
-    the ends; used where derivative rows at boundary nodes are needed."""
-    rows, cols, vals = [], [], []
-    inv = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-inv, inv]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-1.5 / h, 2.0 / h, -0.5 / h]
-    rows += [n - 1, n - 1, n - 1]
-    cols += [n - 1, n - 2, n - 3]
-    vals += [1.5 / h, -2.0 / h, 0.5 / h]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _grid_operators(grid: Grid2D):
     """Full-grid derivative matrices on raveled scalar fields."""
     nx1, ny1 = grid.shape
@@ -327,17 +290,10 @@ def _grid_operators(grid: Grid2D):
     dy_sbp = sp.kron(ix, _sbp_first_diff(ny1, grid.hy), format="csr")
     dxx = sp.kron(_second_diff_interior(nx1, grid.hx), iy, format="csr")
     dyy = sp.kron(ix, _second_diff_interior(ny1, grid.hy), format="csr")
-    dx_os = sp.kron(_one_sided_first(nx1, grid.hx), iy, format="csr")
-    dy_os = sp.kron(ix, _one_sided_first(ny1, grid.hy), format="csr")
+    dx_os = sp.kron(_d1_matrix(nx1, grid.hx), iy, format="csr")
+    dy_os = sp.kron(ix, _d1_matrix(ny1, grid.hy), format="csr")
     dxy = (dx_os @ dy_os).tocsr()
     return dx_sbp, dy_sbp, dxx, dyy, dxy
-
-
-def _identity_metric(grid: Grid2D) -> np.ndarray:
-    k = np.zeros(grid.shape + (2, 2))
-    k[..., 0, 0] = 1.0
-    k[..., 1, 1] = 1.0
-    return k
 
 
 def _selection(layout: BlockLayout):
@@ -585,35 +541,19 @@ def project_mean_zero(
 
 
 def restrict_Xm(op: OperatorMatrix) -> OperatorMatrix:
-    """Deflate the two conserved-quantity kernel directions to
-    DEFLATION_SHIFT so the matrix becomes invertible and its remaining
-    spectrum is exactly the mean-zero-subspace spectrum.
+    """The coupled operator on the mean-zero subspace {C x = 0}.
 
-    The deflation is the rank-2 update U C with U = shift K (C K)^{-1} and
-    C the constraint functionals.  `matrix` is the filled sum A + U C, which
-    dense spectra and matrix-vector products use; `deflation` keeps A, U
-    and C apart, and resolvent samples solve with the sparse LU of
-    lam I - A and the Woodbury identity instead of factoring the fill.
+    The constraint functionals C are left null vectors of A, so
+    C (lam I - A)^{-1} = C / lam and every resolvent leaves the subspace
+    invariant: the restriction needs no change to the matrix.  The result
+    is A itself tagged `domain="mean_zero"`; `spectrum` drops the two
+    kernel eigenvalues and `sector_scan` projects onto the subspace.
     """
     if op.layout is None:
         raise ConfigError("mean-zero restriction needs a coupled operator")
     if op.domain == "mean_zero":
         return op
-    kern = kernel_vectors(op.layout, op.params)
-    cons = constraint_functionals(op.layout, op.params)
-    cross = cons @ kern
-    shift = la.solve(cross.T, kern.T).T  # kern @ inv(cons @ kern)
-    update = sp.csr_matrix(DEFLATION_SHIFT * shift) @ sp.csr_matrix(cons)
-    return OperatorMatrix(
-        matrix=(op.matrix + update).tocsr(),
-        domain="mean_zero",
-        weights=op.weights,
-        label=op.label + "-mean-zero",
-        layout=op.layout,
-        grid=op.grid,
-        params=op.params,
-        deflation=Deflation(op.matrix, DEFLATION_SHIFT * shift, cons),
-    )
+    return replace(op, domain="mean_zero", label=op.label + "-mean-zero")
 
 
 def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
@@ -622,9 +562,10 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 
     When the constraint functionals C are left null vectors of A (certified
     by max|C A| <= 1e-12 max|A|), the mean-zero spectrum is A's spectrum
-    with its two kernel eigenvalues moved to the shift, so the kernel has
+    without the two kernel eigenvalues `spectrum` drops, so the kernel has
     dimension 2 plus the mean-zero eigenvalues below 1e-8.  Without the
-    certificate the dimension is unknown and NaN is returned.
+    certificate the dimension is unknown and NaN is returned; this is the
+    check that fails on a broken operator.
     """
     if op.layout is None or op.domain != "full":
         raise ConfigError("kernel dimension needs a full-domain coupled operator")
@@ -641,33 +582,30 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part.
 
-    `restrict="mean_zero"` deflates the conserved directions first and
-    drops the two shifted eigenvalues from the result.
+    On the mean-zero subspace (`restrict="mean_zero"`, or a mean-zero
+    operator) the two eigenvalues of smallest modulus, the kernel of the
+    conserved quantities, are dropped from one eigensolve of A.  Whether
+    they really are the kernel is `kernel_dimension`'s certificate.
     """
     if restrict not in ("native", "full", "mean_zero"):
         raise ConfigError(f"unknown spectrum restriction {restrict!r}")
-    work = op
-    if restrict == "mean_zero" and op.domain != "mean_zero":
-        work = restrict_Xm(op)
+    if restrict == "mean_zero":
+        op = restrict_Xm(op)
     if restrict == "full" and op.domain != "full":
         raise ConfigError("cannot widen a mean-zero operator back to full")
-    n = work.shape[0]
+    n = op.shape[0]
     if n > MAX_DENSE_DIM:
         raise ConfigError(
             f"dense eigensolve refused for dimension {n} > {MAX_DENSE_DIM}"
         )
-    dense = work.matrix.toarray()
+    dense = op.matrix.toarray()
     if with_vectors:
         vals, vecs = la.eig(dense)
     else:
         vals = la.eigvals(dense)
         vecs = None
-    if work.domain == "mean_zero":
-        dist = np.abs(vals - DEFLATION_SHIFT)
-        drop = np.argsort(dist)[:2]
-        if np.any(dist[drop] > 1e-3 * abs(DEFLATION_SHIFT)):
-            raise NumericsError("deflated kernel eigenvalues not found at shift")
-        keep = np.setdiff1d(np.arange(n), drop)
+    if op.domain == "mean_zero":
+        keep = np.sort(np.argsort(np.abs(vals))[2:])
         vals = vals[keep]
         if vecs is not None:
             vecs = vecs[:, keep]
@@ -676,6 +614,23 @@ def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = 
     if with_vectors:
         return vals, vecs[:, order]
     return vals
+
+
+def sector_rim(op: OperatorMatrix) -> float:
+    """Largest sector-scan radius for `op`: the smallest power of ten at
+    least 10 |lambda|max, far enough past the spectrum for the scaled
+    resolvent norm to be near 1.
+
+    |lambda|max comes from ARPACK with a fixed start vector, so the rim
+    and the scans that use it do not depend on process state.
+    """
+    n = op.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        top = spla.eigs(op.matrix, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    except spla.ArpackError as err:
+        raise NumericsError(f"largest eigenvalue of {op.label} not found: {err}") from err
+    return 10.0 ** math.ceil(math.log10(10.0 * abs(top[0])))
 
 
 def energy_rate(op: OperatorMatrix, vec: np.ndarray) -> float:
@@ -804,14 +759,14 @@ def resolvent_solve(
     """Solve (lam I - A) x = rhs with an explicit residual check.
 
     A singular or near-singular spectral point raises NumericsError rather
-    than returning garbage.  At lam = 0 on a full-domain coupled operator
-    the solve goes through the stationary cascade, which also checks that
-    the right-hand side respects the conserved quantities.
+    than returning garbage.  At lam = 0 on a coupled operator, full or
+    mean-zero, the solve goes through the stationary cascade, which also
+    checks that the right-hand side respects the conserved quantities.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (op.shape[0],):
         raise ConfigError("right-hand side length does not match operator")
-    if lam == 0 and op.layout is not None and op.domain == "full":
+    if lam == 0 and op.layout is not None:
         x = _resolvent_zero_coupled(op, rhs.astype(float))
     else:
         mat = (lam * sp.identity(op.shape[0], format="csr") - op.matrix).tocsc()
@@ -899,62 +854,29 @@ def _weight_gram(op: OperatorMatrix, rho_norm: str) -> sp.csr_matrix:
     return gram
 
 
-def _gram_maps(gram: sp.csr_matrix):
-    """(apply, solve) of the norm's Gram matrix; a non-diagonal Gram is
-    factored here, once per scan."""
+def _gram_maps(op: OperatorMatrix, rho_norm: str):
+    """(apply, solve, project) of the scan's norm.
+
+    `apply` and `solve` multiply and divide by the Gram matrix G; a
+    non-diagonal G is factored here, once per scan.  On a mean-zero
+    operator `project` is the G-orthogonal projector
+    I - G^{-1} C^T (C G^{-1} C^T)^{-1} C onto {C x = 0}, so that the scan
+    measures the norm of the restriction exactly; elsewhere it is the
+    identity.
+    """
+    gram = _weight_gram(op, rho_norm)
     diag = gram.diagonal()
     if gram.nnz == np.count_nonzero(diag):
-        return (lambda z: diag * z), (lambda z: z / diag)
-    glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
-    return (lambda z: gram @ z), glu.solve
-
-
-def _check_deflation(op: OperatorMatrix) -> None:
-    """Raise ConfigError unless `op.matrix` equals its deflation factors
-    base + left @ right, probed with one fixed vector."""
-    defl = op.deflation
-    v = np.cos(np.arange(op.shape[0]))
-    base_v = defl.base @ v
-    update_v = defl.left @ (defl.right @ v)
-    scale = np.linalg.norm(base_v) + np.linalg.norm(update_v)
-    if not np.linalg.norm(op.matrix @ v - base_v - update_v) <= 1e-10 * scale:
-        raise ConfigError("operator matrix does not match its deflation factors")
-
-
-def _resolvent_solver(op: OperatorMatrix, lam: complex):
-    """solve(x, trans) applying (lam I - A)^{-1} ("N") or its adjoint ("H").
-
-    A deflated operator A = base + U C factors the sparse lam I - base and
-    corrects through the 2x2 capacitance S = I - C (lam I - base)^{-1} U:
-    (lam I - A)^{-1} = B^{-1} + B^{-1} U S^{-1} C B^{-1}.  A capacitance
-    that loses half the digits (lam at the deflation shift) raises
-    NumericsError, as a failed factorization does.
-    """
-    n = op.shape[0]
-    defl = op.deflation
-    base = op.matrix if defl is None else defl.base
-    mat = (lam * sp.identity(n, format="csr") - base).tocsc().astype(complex)
-    lu = _splu(mat, f"sector sample at {lam}")
-    if defl is None:
-        return lu.solve
-    bu = lu.solve(defl.left.astype(complex))
-    coupling = defl.right @ bu
-    cap = np.eye(2) - coupling
-    floor = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(coupling, 2))
-    if not np.linalg.svd(cap, compute_uv=False)[-1] > floor:
-        raise NumericsError(f"sector sample at {lam}: deflation capacitance is singular")
-    inv = np.linalg.inv(cap)
-    fix_n = bu @ inv  # B^{-1} U S^{-1}
-    fix_h = lu.solve(defl.right.T.astype(complex), trans="H") @ inv.conj().T  # B^{-H} C^T S^{-H}
-
-    def solve(x, trans="N"):
-        if trans == "N":
-            y = lu.solve(x)
-            return y + fix_n @ (defl.right @ y)
-        y = lu.solve(x, trans="H")
-        return y + fix_h @ (defl.left.T @ y)
-
-    return solve
+        apply, solve = (lambda z: diag * z), (lambda z: z / diag)
+    else:
+        glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
+        apply, solve = (lambda z: gram @ z), glu.solve
+    if op.domain != "mean_zero":
+        return apply, solve, lambda z: z
+    cons = constraint_functionals(op.layout, op.params)
+    ginv_ct = np.column_stack([solve(c.astype(complex)) for c in cons])
+    lift = ginv_ct @ np.linalg.inv(cons @ ginv_ct)
+    return apply, solve, lambda z: z - lift @ (cons @ z)
 
 
 def _scaled_resolvent_norm(
@@ -965,23 +887,25 @@ def _scaled_resolvent_norm(
     iters: int,
     gamma: float,
 ) -> float:
-    """||lam (lam I - (A - gamma))^{-1}|| in the quadrature norm via power
+    """||lam (lam I - (A - gamma))^{-1} P|| in the quadrature norm via power
     iteration on the weighted normal operator; `gram_maps` is
-    `_gram_maps(gram)`.  The shift is folded into the solver's lam + gamma,
-    so no shifted copy of A is made."""
+    `_gram_maps(op, rho_norm)` and P its projector.  The shift is folded
+    into the factored lam + gamma, so no shifted copy of A is made."""
     n = op.shape[0]
-    solve = _resolvent_solver(op, lam + gamma)
-    w_apply, w_solve = gram_maps
+    mat = ((lam + gamma) * sp.identity(n, format="csr") - op.matrix).tocsc().astype(complex)
+    solve = _splu(mat, f"sector sample at {lam + gamma}").solve
+    w_apply, w_solve, project = gram_maps
 
-    # power iteration on the weighted normal operator R* R; the singular
-    # value estimate is ||R x|| for the current unit-norm iterate
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # power iteration on the weighted normal operator (R P)* R P; the
+    # iterate stays in the range of P, which R leaves invariant, and the
+    # singular value estimate is ||R x|| for the current unit-norm iterate
+    x = project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x /= np.sqrt(np.real(np.vdot(x, w_apply(x))))
     value = 0.0
     for _ in range(iters):
         y = solve(x)
         value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
-        z = w_solve(solve(w_apply(y), trans="H"))
+        z = project(w_solve(solve(w_apply(y), trans="H")))
         nrm = np.sqrt(abs(np.real(np.vdot(z, w_apply(z)))))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericsError(f"power iteration collapsed at {lam}")
@@ -1003,7 +927,8 @@ def sector_scan(
     |arg lam| < beta and report the maximum.
 
     Norms are quadrature-weighted Euclidean proxies for the function-space
-    norms; the scalar maximum stands in for the operator-family bound.
+    norms; the scalar maximum stands in for the operator-family bound.  On
+    a mean-zero operator they are norms of the restriction to {C x = 0}.
     Samples where the factorization fails are collected in `singular`
     instead of aborting the scan.
     """
@@ -1015,9 +940,7 @@ def sector_scan(
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("sector scan needs positive sample radii")
     rng = np.random.default_rng(seed)
-    if op.deflation is not None:
-        _check_deflation(op)
-    gram_maps = _gram_maps(_weight_gram(op, rho_norm))
+    gram_maps = _gram_maps(op, rho_norm)
     angles = [0.0, beta / 2.0, max(beta - angle_margin, beta * 0.5)]
     lambdas = []
     for r in radii:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chgvar import DiffeoMap
-from .core_grid import BeamField, FluidField, Grid2D, beam_embed, diff_ops
+from .core_grid import BeamField, FluidField, Grid2D, beam_embed, diff_ops, _trapezoid_widths
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -150,6 +150,13 @@ class SourceBundle:
             np.zeros((nt, grid.nx + 1)),
             np.zeros(nt) if with_hat else None,
         )
+
+
+def _identity_metric(grid: Grid2D) -> np.ndarray:
+    """The identity matrix field: the metric tensors of the identity map."""
+    eye = np.zeros(grid.shape + (2, 2))
+    eye[..., 0, 0] = eye[..., 1, 1] = 1.0
+    return eye
 
 
 def _as_metrics(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,15 +315,6 @@ def _aniso_diffusion(grid: Grid2D, K: np.ndarray) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _box_weights(grid: Grid2D):
-    # per-axis control-volume widths: full spacing inside, half at the ends
-    wx = np.full(grid.nx + 1, grid.hx)
-    wx[0] = wx[-1] = 0.5 * grid.hx
-    wy = np.full(grid.ny + 1, grid.hy)
-    wy[0] = wy[-1] = 0.5 * grid.hy
-    return wx, wy
-
-
 def _fv_diffusion(grid: Grid2D, K: np.ndarray):
     """Vertex-centered flux balance for u -> div(K grad u) with flux data.
 
@@ -337,8 +335,8 @@ def _fv_diffusion(grid: Grid2D, K: np.ndarray):
     hx, hy = grid.hx, grid.hy
     Dx, Dy = _dx_dy_matrices(grid)
     idx = np.arange(N).reshape(nxp, nyp)
-    wx, wy = _box_weights(grid)
-    box = np.outer(wx, wy)
+    wx, wy = _trapezoid_widths(nxp, hx), _trapezoid_widths(nyp, hy)
+    box = grid.weights
 
     def face_ops(axis):
         if axis == 0:
@@ -620,17 +618,16 @@ def solve_lift_Dv(eta2: BeamField, params: PhysParams) -> np.ndarray:
     params.require_global()
     grid = eta2.grid
     N = grid.n_nodes
-    eyeK = np.zeros(grid.shape + (2, 2))
-    eyeK[..., 0, 0] = eyeK[..., 1, 1] = 1.0
     blocks = []
     coef = params.mu + params.alpha
-    B0 = eyeK  # identity cofactor
+    eye = _identity_metric(grid)
+    B0 = eye  # identity cofactor
     for a in (0, 1):
         row = []
         for d in (0, 1):
             K = coef * np.einsum("...b,...c->...bc", B0[..., d, :], B0[..., a, :])
             if a == d:
-                K = K + params.mu * eyeK
+                K = K + params.mu * eye
             row.append(_aniso_diffusion(grid, K))
         blocks.append(row)
     L = sp.bmat(blocks, format="csr") / params.rho_bar
@@ -729,8 +726,7 @@ def _plate_family_discrete(grid):
 
 
 def _march_heat(grid, params, dt, n_steps, exact, forcing):
-    identity = np.zeros(grid.shape + (2, 2))
-    identity[..., 0, 0] = identity[..., 1, 1] = 1.0
+    identity = _identity_metric(grid)
     ones = np.ones(grid.shape)
     stepper = TemperatureStepper(grid, (identity, ones, identity), ones, params, dt)
     th = exact(0.0, grid.xx, grid.yy)
@@ -742,8 +738,7 @@ def _march_heat(grid, params, dt, n_steps, exact, forcing):
 
 
 def _march_velocity(grid, params, dt, n_steps, exact, forcing):
-    identity = np.zeros(grid.shape + (2, 2))
-    identity[..., 0, 0] = identity[..., 1, 1] = 1.0
+    identity = _identity_metric(grid)
     ones = np.ones(grid.shape)
     stepper = VelocityStepper(grid, (identity, ones, identity), ones, params, dt)
     v = exact(0.0, grid.xx, grid.yy)

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chgvar import DiffeoMap, _floor_failure
+from .chgvar import _floor_failure
 from .core_grid import BeamField, FluidField, Grid2D, _per_sample, diff_ops, integrate_fluid
 from .errors import ConfigError, NumericsError
-from .linear_subsystems import PhysParams
+from .linear_subsystems import PhysParams, _as_metrics, _identity_metric
 
 __all__ = [
     "FullState",
@@ -143,19 +143,6 @@ def _matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b->...a", m, w)
 
 
-def _metrics(m):
-    if isinstance(m, DiffeoMap):
-        return m.B, m.delta, m.A
-    B, delta, A = m
-    return np.asarray(B), np.asarray(delta), np.asarray(A)
-
-
-def _identity(grid: Grid2D) -> np.ndarray:
-    eye = np.zeros(grid.shape + (2, 2))
-    eye[..., 0, 0] = eye[..., 1, 1] = 1.0
-    return eye
-
-
 def _certify(delta: np.ndarray):
     err = _floor_failure(delta, 0.0)
     if err is not None:
@@ -199,8 +186,8 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
     """
     grid = state.grid
     ops = diff_ops(grid)
-    B0, d0, A0 = _metrics(X0metrics)
-    BX, dX, AX = _metrics(map)
+    B0, d0, A0 = _as_metrics(X0metrics)
+    BX, dX, AX = _as_metrics(map)
     _certify(dX)
     r0 = rho0.values if isinstance(rho0, FluidField) else np.asarray(rho0, dtype=float)
     rho = state.rho.values
@@ -285,9 +272,9 @@ def eval_global_sources(
     params.require_global()
     grid = state.grid
     ops = diff_ops(grid)
-    BX, dX, AX = _metrics(map)
+    BX, dX, AX = _as_metrics(map)
     _certify(dX)
-    eye = _identity(grid)
+    eye = _identity_metric(grid)
     rho = state.rho.values
     if np.min(rho + params.rho_bar) <= 0:
         raise ConfigError("perturbation density must keep rho + rho_bar positive")
@@ -428,9 +415,9 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     h2 = max(grid.hx, grid.hy) ** 2
 
     if X0metrics is None:
-        A0 = _identity(grid)
+        A0 = _identity_metric(grid)
     else:
-        A0 = _metrics(X0metrics)[2]
+        A0 = _as_metrics(X0metrics)[2]
 
     rho = initial.rho.values
     v = initial.v.values

@@ -20,7 +20,7 @@ from fsilab.cli_io import (
     write_snapshot,
 )
 from fsilab.core_grid import build_grid
-from fsilab.errors import ConfigError
+from fsilab.errors import ConfigError, NumericsError
 from fsilab.fs_operator import assemble_coupled, spectrum
 from fsilab.linear_subsystems import default_params
 from fsilab.nonlinear_sources import check_compatibility
@@ -414,6 +414,52 @@ def test_cli_map_collapse_exits_4(tmp_path):
     rc, out, _ = run_cli(["run", "--config", str(cfg_file), "--out", str(tmp_path / "b")])
     assert rc == 4
     assert "status: FAIL" in out
+
+
+def test_cli_picard_max_iters_exits_3(tmp_path):
+    rc, out, _ = run_cli(
+        ["run", "--override", "mode=local", "--override", "scenario=beam-pluck", "--override", "nx=8",
+         "--override", "T=0.05", "--override", "dt=0.0125", "--override", "max_iters=1",
+         "--out", str(tmp_path / "r")]
+    )
+    assert rc == 3
+    assert "status: FAIL" in out
+    assert "max-iters" in out
+
+
+def test_cli_numerics_error_exits_3(tmp_path, monkeypatch):
+    import fsilab.cli_io as cli
+
+    def failing(*args, **kwargs):
+        raise NumericsError("injected non-finite state at sample 3")
+
+    monkeypatch.setattr(cli, "run_local", failing)
+    rc, out, err = run_cli(["run", "--override", "mode=local", "--override", "nx=8", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "injected non-finite state at sample 3" in err
+    assert out == ""
+    assert "status: FAIL" in (tmp_path / "r" / "report.txt").read_text()
+
+
+# the README's sector command and its config
+README_CFG = (
+    "mode = local\nnx = 16\nscenario = beam-pluck\namplitude = 1e-2\nT = 0.1\ndt = 0.01\n"
+)
+
+
+@pytest.mark.parametrize("nx", [8, 16])
+def test_cli_readme_sector_command_passes(tmp_path, nx):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(README_CFG)
+    argv = ["sector", "--config", str(cfg_file), "--override", "beta=2.356", "--override", f"nx={nx}"]
+    outputs = []
+    for run in ("a", "b"):
+        rc, out, _ = run_cli(argv + ["--out", str(tmp_path / run)])
+        assert rc == 0
+        assert "[pass] high-radius-limit-gap" in out
+        outputs.append((tmp_path / run / "sector.csv").read_bytes())
+    # the rim and the norms do not depend on process state
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_seed_flag_overrides(tmp_path):

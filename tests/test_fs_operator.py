@@ -1,7 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from fsilab.core_grid import build_grid, diff_ops
@@ -9,11 +8,8 @@ from fsilab.errors import ConfigError, NumericsError
 from fsilab.linear_subsystems import default_params, plate_operator
 import fsilab.fs_operator as fs_operator
 from fsilab.fs_operator import (
-    DEFLATION_SHIFT,
     OperatorMatrix,
     _gram_maps,
-    _resolvent_solver,
-    _scaled_resolvent_norm,
     _splu,
     _weight_gram,
     assemble_block,
@@ -28,6 +24,7 @@ from fsilab.fs_operator import (
     project_mean_zero,
     resolvent_solve,
     restrict_Xm,
+    sector_rim,
     sector_scan,
     spectrum,
     state_to_vector,
@@ -258,6 +255,20 @@ def test_full_spectrum_has_double_kernel():
     assert vals.real[~near_zero].max() < -0.2
 
 
+def test_mean_zero_spectrum_is_the_restricted_spectrum():
+    # oracle: A restricted to its invariant subspace {C x = 0}, written in an
+    # orthonormal basis Q of that subspace, is Q^T A Q
+    op = coupled(6)
+    cons = constraint_functionals(op.layout, op.params)
+    basis = la.null_space(cons)
+    dense = op.matrix.toarray()
+    assert np.abs(dense @ basis - basis @ (basis.T @ dense @ basis)).max() < 1e-9
+    ref = np.sort_complex(la.eigvals(basis.T @ dense @ basis))
+    for vals in (spectrum(op, restrict="mean_zero"), spectrum(restrict_Xm(op))):
+        assert vals.size == op.shape[0] - 2
+        assert np.abs(np.sort_complex(vals) - ref).max() < 1e-8 * np.abs(ref).max()
+
+
 def test_decay_margin_stable_under_refinement():
     betas = []
     for n in (8, 12):
@@ -296,7 +307,25 @@ def test_restrict_preserves_mean_zero_action():
     x = project_mean_zero(op, random_vec(op.layout, rng))
     assert np.allclose(defl.matrix @ x, op.matrix @ x, atol=1e-7)
     assert defl.domain == "mean_zero"
+    assert defl.matrix is op.matrix  # no fill: consumers project instead
     assert restrict_Xm(defl) is defl
+
+
+def test_gram_projector_is_orthogonal_onto_mean_zero():
+    op = restrict_Xm(coupled(6))
+    gram = _weight_gram(op, "l2")
+    project = _gram_maps(op, "l2")[2]
+    cons = constraint_functionals(op.layout, op.params)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    px, py = project(x), project(y)
+    scale = np.linalg.norm(x)
+    assert np.abs(cons @ px).max() < 1e-12 * scale
+    assert np.linalg.norm(project(px) - px) < 1e-12 * scale
+    # self-adjoint in the Gram inner product: <P x, y>_G = <x, P y>_G
+    assert abs(np.vdot(y, gram @ px) - np.vdot(py, gram @ x)) < 1e-12 * abs(np.vdot(y, gram @ x)) + 1e-12
+    assert _gram_maps(coupled(6), "l2")[2](x) is x
 
 
 # ---------------- energy dissipation
@@ -370,12 +399,18 @@ def test_zero_point_solution_properties():
 
 
 def test_zero_point_matches_deflated_direct_solve():
+    # direct reference without the cascade: the bordered system
+    # [[-A, K], [C, 0]] [x; s] = [rhs; 0] pins C x = 0 through the kernel K
     op = coupled(6)
     rng = np.random.default_rng(10)
     rhs = project_mean_zero(op, random_vec(op.layout, rng))
-    x_casc = resolvent_solve(op, 0.0, rhs)
-    x_defl = resolvent_solve(restrict_Xm(op), 0.0, rhs)
-    assert np.linalg.norm(x_casc - x_defl) / np.linalg.norm(x_casc) < 1e-8
+    kern = kernel_vectors(op.layout, op.params)
+    cons = constraint_functionals(op.layout, op.params)
+    bordered = np.block([[-op.matrix.toarray(), kern], [cons, np.zeros((2, 2))]])
+    x_direct = np.linalg.solve(bordered, np.concatenate([rhs, [0.0, 0.0]]))[:-2]
+    for target in (op, restrict_Xm(op)):
+        x = resolvent_solve(target, 0.0, rhs)
+        assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
 
 
 def test_bending_plus_mean_coupling_is_nonsingular():
@@ -431,23 +466,39 @@ def test_coupled_high_radius_value_near_one():
     assert np.abs(scan.values[mask] - 1.0).max() < 0.1
 
 
-def _filled_reference_norms(defl, lambdas, gamma=0.0, seed=0, iters=30):
-    """Sector norms from the LU of the filled deflated matrix, through the
-    seeded power iteration of the scan."""
-    size = defl.shape[0]
-    gram = _weight_gram(defl, "l2")
-    glu = _splu(gram.tocsc().astype(complex), "reference Gram")
+def test_sector_rim_is_a_power_of_ten_past_the_spectrum():
+    for n, want in ((8, 1e4), (16, 1e5)):
+        op = coupled(n)
+        rim = sector_rim(op)
+        assert rim == want
+        assert sector_rim(restrict_Xm(op)) == rim
+    op = coupled(8)
+    top = np.abs(la.eigvals(op.matrix.toarray())).max()
+    assert 10.0 * top <= sector_rim(op) < 100.0 * top
+
+
+def _dense_projected_norms(op, lambdas, gamma=0.0, seed=0, iters=30):
+    """Sector norms on the mean-zero subspace from dense algebra: the dense
+    (lam + gamma) I - A, a dense Gram-orthogonal projector onto {C x = 0},
+    and the seeded power iteration of the scan."""
+    size = op.shape[0]
+    gram = _weight_gram(op, "l2").toarray().astype(complex)
+    cons = constraint_functionals(op.layout, op.params)
+    ginv_ct = np.linalg.solve(gram, cons.T)
+    proj = np.eye(size) - ginv_ct @ np.linalg.solve(cons @ ginv_ct, cons)
+    # P G^{-1}, the adjoint half-step of the power iteration
+    proj_ginv = proj @ np.linalg.inv(gram)
+    dense = op.matrix.toarray()
     rng = np.random.default_rng(seed)
     out = []
     for lam in lambdas:
-        mat = (lam + gamma) * sp.identity(size, format="csr") - defl.matrix
-        lu = _splu(mat.tocsc().astype(complex), "reference")
-        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        factor = la.lu_factor((lam + gamma) * np.eye(size) - dense)
+        x = proj @ (rng.standard_normal(size) + 1j * rng.standard_normal(size))
         x /= np.sqrt(np.real(np.vdot(x, gram @ x)))
         for _ in range(iters):
-            y = lu.solve(x)
+            y = la.lu_solve(factor, x)
             value = np.sqrt(abs(np.real(np.vdot(y, gram @ y))))
-            z = glu.solve(lu.solve(gram @ y, trans="H"))
+            z = proj_ginv @ la.lu_solve(factor, gram @ y, trans=2)
             x = z / np.sqrt(abs(np.real(np.vdot(z, gram @ z))))
         out.append(abs(lam) * value)
     return np.array(out)
@@ -455,6 +506,7 @@ def _filled_reference_norms(defl, lambdas, gamma=0.0, seed=0, iters=30):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_sector_woodbury_matches_filled_factor(n, monkeypatch):
+    # the projected scan against a dense reference of the same restriction
     defl = restrict_Xm(coupled(n))
     factored = []
 
@@ -466,59 +518,18 @@ def test_sector_woodbury_matches_filled_factor(n, monkeypatch):
     scan = sector_scan(defl, 2.356, [1e-2, 1.0, 1e2, 1e4], seed=0)
     monkeypatch.undo()
     assert scan.singular == () and scan.values.size == 20
-    # one Gram factor, then one factor per sample, none of the filled matrix
+    # one Gram factor, then one factor of the sparse lam I - A per sample
     assert len(factored) == 21
-    assert max(factored) < defl.matrix.nnz
-    ref = _filled_reference_norms(defl, scan.lambdas)
+    assert max(factored) <= defl.matrix.nnz + defl.shape[0]
+    ref = _dense_projected_norms(defl, scan.lambdas)
     assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
-
-
-@pytest.mark.parametrize("lam", [1e-2j, 1.0 + 1.0j, -50.0 + 80.0j, 1e4])
-def test_woodbury_solves_match_filled_factor(lam):
-    defl = restrict_Xm(coupled(8))
-    size = defl.shape[0]
-    mat = (lam * sp.identity(size, format="csr") - defl.matrix).tocsc().astype(complex)
-    lu = _splu(mat, "reference")
-    solve = _resolvent_solver(defl, lam)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    for trans in ("N", "H"):
-        ref = lu.solve(x, trans=trans)
-        assert np.linalg.norm(solve(x, trans=trans) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_sector_woodbury_carries_gamma_shift():
     defl = restrict_Xm(coupled(8))
     scan = sector_scan(defl, 2.356, [1.0, 1e2], gamma=0.5, seed=3)
-    ref = _filled_reference_norms(defl, scan.lambdas, gamma=0.5, seed=3)
+    ref = _dense_projected_norms(defl, scan.lambdas, gamma=0.5, seed=3)
     assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
-
-
-def test_resolvent_norm_at_deflation_shift_is_singular():
-    defl = restrict_Xm(coupled(8))
-    maps = _gram_maps(_weight_gram(defl, "l2"))
-    rng = np.random.default_rng(0)
-    with pytest.raises(NumericsError):
-        _scaled_resolvent_norm(defl, complex(DEFLATION_SHIFT), maps, rng, 30, 0.0)
-
-
-def test_deflation_factors_must_fit_a_mean_zero_operator():
-    defl = restrict_Xm(coupled(6))
-    assert np.allclose(
-        (defl.deflation.base + defl.deflation.left @ defl.deflation.right), defl.matrix.toarray()
-    )
-    with pytest.raises(ConfigError):
-        OperatorMatrix(
-            matrix=defl.matrix, domain="full", weights=defl.weights, label="x",
-            deflation=defl.deflation,
-        )
-
-
-def test_sector_scan_rejects_stale_deflation_factors():
-    defl = restrict_Xm(coupled(6))
-    stale = dataclasses.replace(defl, matrix=(2.0 * defl.matrix).tocsr())
-    with pytest.raises(ConfigError):
-        sector_scan(stale, BETA, [1.0])
 
 
 def test_sector_bound_stable_under_refinement():
