@@ -21,10 +21,10 @@ import numpy as np
 
 from .core_grid import FluidField, BeamField, Grid2D, build_grid, integrate_beam, integrate_fluid
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
-from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local, state_norm
+from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local
 from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, sector_rim, spectrum
 from .linear_subsystems import PhysParams, _identity_metric, manufactured_convergence, step_density
-from .nonlinear_sources import FullState, eval_global_sources
+from .nonlinear_sources import FullState, _global_density_source
 
 __all__ = [
     "RunConfig",
@@ -445,19 +445,14 @@ def write_snapshot(path, state: FullState):
         f"cells nx {g.nx} ny {g.ny}",
         "fluid-columns x y rho vx vy theta",
     ]
-    for i in range(g.nx + 1):
-        for j in range(g.ny + 1):
-            lines.append(
-                " ".join(
-                    repr(float(c))
-                    for c in (g.x[i], g.y[j], rho[i, j], v[i, j, 0], v[i, j, 1], theta[i, j])
-                )
-            )
+    fluid = np.column_stack(
+        (np.repeat(g.x, g.ny + 1), np.tile(g.y, g.nx + 1), rho.ravel(), v[..., 0].ravel(), v[..., 1].ravel(), theta.ravel())
+    )
+    # repr of a Python float is repr(float(c)) of the numpy value it came from
+    lines.extend(" ".join(map(repr, row)) for row in fluid.tolist())
     lines.append("beam-columns x eta1 eta2")
-    for i in range(g.nx + 1):
-        lines.append(
-            " ".join(repr(float(c)) for c in (g.x[i], state.eta1.values[i], state.eta2.values[i]))
-        )
+    beam = np.column_stack((g.x, state.eta1.values, state.eta2.values))
+    lines.extend(" ".join(map(repr, row)) for row in beam.tolist())
     lines.append("end")
     pathlib.Path(path).write_text("\n".join(lines) + "\n")
 
@@ -482,17 +477,7 @@ def _mass_balance_drift(traj, params) -> float:
     dt = traj.dt
     states = traj.state_stack
     mass = integrate_fluid(grid, states.rho.values) + params.rho_bar * integrate_beam(grid, states.eta1.values)
-    vstack = states.v.values
-    tstack = states.theta.values
-    dv = np.empty_like(vstack)
-    dth = np.empty_like(tstack)
-    if len(traj) > 1:
-        dv[1:] = np.diff(vstack, axis=0) / dt
-        dth[1:] = np.diff(tstack, axis=0) / dt
-        dv[0], dth[0] = dv[1], dth[1]
-    else:
-        dv[:], dth[:] = 0.0, 0.0
-    src = integrate_fluid(grid, eval_global_sources(states, traj.map_stack, params, dv_dt=dv, dtheta_dt=dth)[0])
+    src = integrate_fluid(grid, _global_density_source(states, traj.map_stack, params)[0])
     injected = np.concatenate(([0.0], np.cumsum(0.5 * dt * (src[1:] + src[:-1]))))
     return float(np.max(np.abs(mass - mass[0] - injected)))
 
@@ -510,12 +495,11 @@ def _drive_march(cfg: RunConfig, out: pathlib.Path):
         traj, rep = run_global(state0, itcfg, params)
         series = conserved_quantities(traj, params)
 
-    norms = state_norm(traj.state_stack, cfg.q)
     _write_csv(
         out / "diagnostics.csv",
         ("time", "state_norm", "mass", "energy"),
         [
-            (traj.times[k], norms[k], series.mass[k], series.energy[k])
+            (traj.times[k], rep.state_norms[k], series.mass[k], series.energy[k])
             for k in range(len(traj))
         ],
     )

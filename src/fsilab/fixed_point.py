@@ -6,9 +6,9 @@ rebuilds the map from the velocity history and re-evaluates the
 nonlinear sources; the fixed point of that loop is the short-time
 solution. The global runner plays the same game around the decaying
 linearisation: the temperature is split into a shifted heat solve plus
-tracked averages, the remaining mean-zero system and the spatially
-constant plate forcing are marched with the assembled coupled
-generator, and every norm carries the exponential weight e^(beta t).
+tracked averages, the remaining mean-zero system is marched with the
+assembled coupled generator under the spatially constant plate forcing,
+and every norm carries the exponential weight e^(beta t).
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ class IterationReport:
     bundle_norms[k] is the weighted norm of the k-th evaluated source
     bundle, diff_norms[k] the norm of its difference to the previous
     bundle and ratios the successive quotients of those differences.
+    state_norms[k] is state_norm of sample k of the returned trajectory.
     """
 
     bundle_norms: tuple
@@ -115,6 +116,7 @@ class IterationReport:
     status: str
     message: str = ""
     decay_violation: bool = False
+    state_norms: tuple = ()
 
     @property
     def iterations(self) -> int:
@@ -469,10 +471,11 @@ class _GlobalEngine:
     The temperature is peeled into a shifted heat solve (carrying f3 and
     the flux data), its tracked spatial average, and a mean-zero
     remainder; the remainder joins density, velocity and plate in a
-    backward Euler march with the assembled coupled generator, while the
-    spatially constant plate forcing and the tracked averages drive a
-    second homogeneous march. Both marches conserve the discrete mass
-    and mean functionals exactly, step by step.
+    backward Euler march with the assembled coupled generator. The
+    spatially constant plate forcing joins its beam-velocity rows: the
+    march is linear, so one march on the summed forcing is the sum of
+    the marches each forcing drives. The march conserves the discrete
+    mass and mean functionals exactly, step by step.
     """
 
     def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams, shear_convention: str):
@@ -511,8 +514,8 @@ class _GlobalEngine:
         rho_flat = rho_flat0 + _cumtrapz(f1_avg, dt)
         h_hat = bundle.h_hat if bundle.h_hat is not None else np.zeros(nt)
 
-        # forcing of every step at once: F drives the mean-zero march,
-        # Fd the beam-velocity rows of the spatially constant one
+        # forcing of every step at once; the spatially constant plate
+        # forcing Fd joins the beam-velocity rows, so one march carries it
         steps = nt - 1
         ts = th_sharp[1:].reshape(steps, -1).T
         F = np.zeros((steps, layout.total))
@@ -520,13 +523,12 @@ class _GlobalEngine:
         F[:, layout.sl_vx] = (self.sel @ (bundle.f2[1:, ..., 0].reshape(steps, -1).T - R0 * (self.dx_sbp @ ts))).T
         F[:, layout.sl_vy] = (self.sel @ (bundle.f2[1:, ..., 1].reshape(steps, -1).T - R0 * (self.dy_sbp @ ts))).T
         F[:, layout.sl_theta] = GAMMA1 * (th_sharp[1:] - th_avg[1:, None, None]).reshape(steps, -1)
-        F[:, layout.sl_eta2] = bundle.h[1:, 1:-1] + R0 * rho_bar * th_sharp[1:, 1:-1, -1]
         Fd = h_hat[1:] + R0 * theta_bar * rho_flat[1:] + R0 * rho_bar * th_flat[1:]
+        F[:, layout.sl_eta2] = bundle.h[1:, 1:-1] + R0 * rho_bar * th_sharp[1:, 1:-1, -1] + Fd[:, None]
 
-        # both marches share the factor: column 0 carries the mean-zero
-        # state, column 1 the spatially constant one, one solve per step
-        y = np.zeros((layout.total, 2))
-        y[:, 0] = pack_fields(
+        # backward Euler on the packed state, one solve per step
+        packed = np.empty((nt, layout.total))
+        packed[0] = pack_fields(
             layout,
             initial.rho.values - rho_flat[0],
             initial.v.values,
@@ -534,14 +536,8 @@ class _GlobalEngine:
             initial.eta1.values,
             initial.eta2.values,
         )
-        forcing = np.zeros((layout.total, 2))
-        packed = np.empty((nt, layout.total))
-        packed[0] = y[:, 0] + y[:, 1]
         for n in range(steps):
-            forcing[:, 0] = F[n]
-            forcing[layout.sl_eta2, 1] = Fd[n]
-            y = lu.solve(y / dt + forcing)
-            packed[n + 1] = y[:, 0] + y[:, 1]
+            packed[n + 1] = lu.solve(packed[n] / dt + F[n])
 
         rho_c, v_c, th_c, e1, e2 = unpack_fields(layout, packed)
         states = FullState(
@@ -596,7 +592,8 @@ def run_local(
     states, maps, _, report = _picard(
         eng.march, eng.evaluate, bundle0, cfg, eng.R, beta=0.0, data_scale=state_norm(initial, cfg.q)
     )
-    return Trajectory.from_stacks(states, maps, cfg.dt, "local"), report
+    traj = Trajectory.from_stacks(states, maps, cfg.dt, "local")
+    return traj, replace(report, state_norms=tuple(state_norm(traj.state_stack, cfg.q)))
 
 
 def run_global(
@@ -627,9 +624,9 @@ def run_global(
         eng.march, eng.evaluate, bundle0, cfg, eng.R, beta=cfg.beta, data_scale=state_norm(initial, cfg.q)
     )
     traj = Trajectory.from_stacks(states, maps, cfg.dt, "global")
-    weighted = np.exp(cfg.beta * traj.times) * state_norm(traj.state_stack, cfg.q)
-    report = replace(report, decay_violation=_grows_across(weighted))
-    return traj, report
+    norms = state_norm(traj.state_stack, cfg.q)
+    weighted = np.exp(cfg.beta * traj.times) * norms
+    return traj, replace(report, decay_violation=_grows_across(weighted), state_norms=tuple(norms))
 
 
 def march_local(
@@ -684,25 +681,21 @@ def conserved_quantities(traj: Trajectory, params: PhysParams | None = None) -> 
     terms; it is a monitoring quantity, not an exact invariant.
     """
     grid = traj.grid
-    n = len(traj)
-    mass = np.empty(n)
-    energy = np.empty(n)
+    st = traj.state_stack
+    rho, v2, th2 = st.rho.values, np.sum(st.v.values**2, axis=-1), st.theta.values**2
     if traj.mode == "local":
-        for k, (st, mp) in enumerate(zip(traj.states, traj.maps)):
-            delta = mp.delta
-            mass[k] = integrate_fluid(grid, st.rho.values * delta)
-            kin = 0.5 * integrate_fluid(grid, st.rho.values * np.sum(st.v.values**2, axis=-1) * delta)
-            th = 0.5 * integrate_fluid(grid, st.theta.values**2 * delta)
-            energy[k] = kin + th + plate_energy(st.eta1, st.eta2)
+        delta = traj.map_stack.delta
+        mass = integrate_fluid(grid, rho * delta)
+        kin = 0.5 * integrate_fluid(grid, rho * v2 * delta)
+        th = 0.5 * integrate_fluid(grid, th2 * delta)
     else:
         if params is None:
             raise ConfigError("global conserved quantities need the physical parameters")
         rb = params.rho_bar
-        for k, st in enumerate(traj.states):
-            mass[k] = integrate_fluid(grid, st.rho.values) + rb * integrate_beam(grid, st.eta1.values)
-            kin = 0.5 * rb * integrate_fluid(grid, np.sum(st.v.values**2, axis=-1))
-            th = 0.5 * integrate_fluid(grid, st.theta.values**2)
-            energy[k] = kin + th + plate_energy(st.eta1, st.eta2)
+        mass = integrate_fluid(grid, rho) + rb * integrate_beam(grid, st.eta1.values)
+        kin = 0.5 * rb * integrate_fluid(grid, v2)
+        th = 0.5 * integrate_fluid(grid, th2)
+    energy = kin + th + plate_energy(st.eta1, st.eta2)
     return ConservedSeries(
         times=traj.times,
         mass=mass,

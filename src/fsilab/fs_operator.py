@@ -580,7 +580,8 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 
 
 def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = False):
-    """Dense eigenvalues sorted by descending real part.
+    """Dense eigenvalues sorted by descending real part, ties by descending
+    imaginary part (a conjugate pair lists +Im first).
 
     On the mean-zero subspace (`restrict="mean_zero"`, or a mean-zero
     operator) the two eigenvalues of smallest modulus, the kernel of the
@@ -609,7 +610,7 @@ def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = 
         vals = vals[keep]
         if vecs is not None:
             vecs = vecs[:, keep]
-    order = np.argsort(-vals.real)
+    order = np.lexsort((-vals.imag, -vals.real))
     vals = vals[order]
     if with_vectors:
         return vals, vecs[:, order]

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chgvar import DiffeoMap
-from .core_grid import BeamField, FluidField, Grid2D, beam_embed, diff_ops, _trapezoid_widths
+from .core_grid import BeamField, FluidField, Grid2D, _per_sample, _trapezoid_widths, beam_embed, diff_ops
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -213,19 +213,21 @@ def _plate_factor(grid: Grid2D, dt: float, scheme: str):
     return scipy.linalg.lu_factor(M), A
 
 
-def plate_energy(eta1: BeamField, eta2: BeamField) -> float:
+def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
     """Beam energy with the clamped closure.
 
     Half the squared trapezoid norms of the velocity and of the second
     derivative, the latter realized through the clamped operator's
-    quadratic form so that implicit stepping dissipates it exactly.
+    quadratic form so that implicit stepping dissipates it exactly. A
+    stack gets one energy per sample, each from the BLAS products of the
+    sample alone: batched products round differently.
     """
     grid = eta1.grid
     bih, _ = _plate_blocks(grid)
-    e1 = eta1.values[1:-1]
-    e2 = eta2.values[1:-1]
-    h = grid.hx
-    return float(0.5 * h * (e2 @ e2 + e1 @ (bih @ e1)))
+    e1 = eta1.values[..., 1:-1].reshape(-1, grid.nx - 1)
+    e2 = eta2.values[..., 1:-1].reshape(-1, grid.nx - 1)
+    energy = [0.5 * grid.hx * (b @ b + a @ (bih @ a)) for a, b in zip(e1, e2)]
+    return _per_sample(np.reshape(energy, eta1.values.shape[:-1]))
 
 
 def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float, scheme: str = "be"):

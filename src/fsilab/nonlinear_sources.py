@@ -247,6 +247,23 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
 # ------------------------------------------------------------------ global sources
 
 
+def _global_density_source(state: FullState, map, params: PhysParams):
+    """(F1, grad v, B/delta - I): eval_global_sources' density source, bit
+    for bit and behind the same checks, with the pieces the others reuse."""
+    params.require_global()
+    ops = diff_ops(state.grid)
+    BX, dX, _ = _as_metrics(map)
+    _certify(dX)
+    rho = state.rho.values
+    if np.min(rho + params.rho_bar) <= 0:
+        raise ConfigError("perturbation density must keep rho + rho_bar positive")
+    v = state.v.values
+    gv = ops.grad_vector(v)
+    metric_gap = (1.0 / dX)[..., None, None] * BX - _identity_metric(state.grid)
+    F1 = -rho * ops.div(v) - (rho + params.rho_bar) * _colon(metric_gap, gv)
+    return F1, gv, metric_gap
+
+
 def eval_global_sources(
     state: FullState,
     map,
@@ -269,29 +286,22 @@ def eval_global_sources(
     F3: "printed" uses 2 mu/delta, "swapped" the other regime's
     mu/(2 delta).
     """
-    params.require_global()
+    F1, gv, metric_gap = _global_density_source(state, map, params)
     grid = state.grid
     ops = diff_ops(grid)
     BX, dX, AX = _as_metrics(map)
-    _certify(dX)
     eye = _identity_metric(grid)
     rho = state.rho.values
-    if np.min(rho + params.rho_bar) <= 0:
-        raise ConfigError("perturbation density must keep rho + rho_bar positive")
     theta = state.theta.values
     v = state.v.values
     dvdt = _rate(dv_dt, v)
     dthdt = _rate(dtheta_dt, theta)
     rb, tb = params.rho_bar, params.theta_bar
 
-    gv = ops.grad_vector(v)
     gvT = _transpose(gv)
     gth = ops.grad(theta)
     grho = ops.grad(rho)
     colonX = _colon(gv, BX)
-    metric_gap = (1.0 / dX)[..., None, None] * BX - eye
-
-    F1 = -rho * ops.div(v) - (rho + rb) * _colon(metric_gap, gv)
 
     BgvT = BX @ gvT
     flux_visc = gv @ (AX - eye)

@@ -19,7 +19,7 @@ from fsilab.cli_io import (
     with_background,
     write_snapshot,
 )
-from fsilab.core_grid import build_grid
+from fsilab.core_grid import FluidField, build_grid
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.fs_operator import assemble_coupled, spectrum
 from fsilab.linear_subsystems import default_params
@@ -357,6 +357,66 @@ def test_snapshot_file_is_self_describing(tmp_path):
     x, y, rho, vx, vy, theta = (float(c) for c in lines[head + 1].split())
     assert (x, y) == (0.0, -1.0)
     assert rho == 1.0
+
+
+def test_snapshot_rows_match_the_per_element_formula(tmp_path):
+    g = build_grid(2.0, 0.5, 6, 4)
+    rng = np.random.default_rng(3)
+    st = with_background(scenario_library("beam-pluck", g, 1e-2), default_params())
+    rho = st.rho.values * (1.0 + 1e-7 * rng.standard_normal(g.shape))
+    rho[1, 2] = -0.0
+    v = 1e-12 * rng.standard_normal(g.shape + (2,))
+    v[0] = 0.0
+    theta = 1e5 * rng.standard_normal(g.shape)
+    st = dataclasses.replace(st, rho=FluidField(g, rho), v=FluidField(g, v, kind="vector"), theta=FluidField(g, theta), t=0.3)
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, st)
+    # the writer's output before it built its columns as arrays
+    lines = [
+        "structured-grid snapshot",
+        f"time {repr(float(st.t))}",
+        f"domain L {repr(float(g.L))} H {repr(float(g.H))}",
+        f"cells nx {g.nx} ny {g.ny}",
+        "fluid-columns x y rho vx vy theta",
+    ]
+    for i in range(g.nx + 1):
+        for j in range(g.ny + 1):
+            lines.append(" ".join(repr(float(c)) for c in (g.x[i], g.y[j], rho[i, j], v[i, j, 0], v[i, j, 1], theta[i, j])))
+    lines.append("beam-columns x eta1 eta2")
+    for i in range(g.nx + 1):
+        lines.append(" ".join(repr(float(c)) for c in (g.x[i], st.eta1.values[i], st.eta2.values[i])))
+    lines.append("end")
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_global_run_evaluates_the_full_sources_once_per_iteration(tmp_path, monkeypatch):
+    # the mass-balance check needs only the density source, not another
+    # full evaluation of the final trajectory
+    import sys
+
+    import fsilab.nonlinear_sources as ns
+
+    calls = []
+    original = ns.eval_global_sources
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fsilab" or name.startswith("fsilab."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    cfg = parse_config(
+        f"mode = global\nnx = 8\nT = 0.5\ndt = 0.05\nbeta = 0.1\nscenario = beam-pluck\nout_dir = {tmp_path}\n"
+    )
+    report = run_scenario(cfg)
+    assert report.passed
+    with open(tmp_path / "iterations.csv", newline="") as f:
+        iterations = len(list(csv.reader(f))) - 1
+    assert iterations > 1
+    assert len(calls) == iterations
 
 
 # ----------------------------------------------------------------- CLI

@@ -12,6 +12,7 @@ from fsilab.core_grid import (
     build_grid,
     discrete_norm,
     integrate_beam,
+    integrate_fluid,
     weighted_time_norm,
 )
 from fsilab.errors import ConfigError, DiffeoFailure
@@ -26,7 +27,7 @@ from fsilab.fixed_point import (
     run_local,
     state_norm,
 )
-from fsilab.linear_subsystems import SourceBundle, default_params
+from fsilab.linear_subsystems import SourceBundle, default_params, plate_energy
 from fsilab.nonlinear_sources import FullState
 
 
@@ -599,3 +600,107 @@ def test_trajectory_stacks_round_trip():
     assert same_bits(rebuilt.times, traj.times)
     assert traj[-1].t == pytest.approx(0.05)
     assert len(traj.states[1:3]) == 2
+
+
+# ------------------------------------------------------- one-column global march
+
+
+def forcing_bundle(g, cfg, rest=True, hat=True):
+    """Smooth time-varying sources; rest fills the five spatial slots, hat the constant plate forcing."""
+    t = np.arange(cfg.nt) * cfg.dt
+    pat = np.cos(np.pi * g.xx) * np.cos(np.pi * g.yy)
+    bub = np.sin(np.pi * g.xx) * np.sin(np.pi * g.yy)
+    a = 1e-3 * np.cos(3.0 * t)[:, None, None] * (1.0 if rest else 0.0)
+    f2 = np.stack([bub, -0.5 * bub], axis=-1)
+    beam = np.sin(np.pi * g.x) ** 2
+    h_hat = 2e-3 * np.sin(2.0 * t) if hat else np.zeros(cfg.nt)
+    return SourceBundle(g, cfg.dt, a * pat, a[..., None] * f2, 2.0 * a * bub, a * pat, a[:, :, 0] * beam, h_hat)
+
+
+def stacked_fields(traj):
+    st = traj.state_stack
+    return [st.rho.values, st.v.values, st.theta.values, st.eta1.values, st.eta2.values]
+
+
+def test_global_march_superposes_the_constant_plate_forcing():
+    # the march is affine in its forcing: M(b + h_hat) = M(h_hat) + M(b) - M(0)
+    g = unit_grid()
+    params = default_params()
+    cfg = IterationConfig(T=0.5, dt=0.02, beta=0.1)
+    st0 = global_bump_state(g, params)
+    run = lambda rest, hat: stacked_fields(march_global(st0, cfg, params, bundle=forcing_bundle(g, cfg, rest, hat)))
+    full, hat_only, rest_only, none = run(True, True), run(False, True), run(True, False), run(False, False)
+    for f, a, b, c in zip(full, hat_only, rest_only, none):
+        assert np.max(np.abs(f - (a + b - c))) <= 1e-12 * np.max(np.abs(f))
+    # the constant forcing really drives the beam velocity
+    assert np.max(np.abs(hat_only[4] - none[4])) > 1e-6
+
+
+def test_global_march_solves_one_column_per_step(monkeypatch):
+    shapes = []
+    splu = fp._splu
+
+    class Recording:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            shapes.append(np.shape(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(fp, "_splu", lambda *args, **kwargs: Recording(splu(*args, **kwargs)))
+    g = unit_grid()
+    params = default_params()
+    cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
+    march_global(global_bump_state(g, params), cfg, params, bundle=forcing_bundle(g, cfg))
+    assert len(shapes) == cfg.nt - 1
+    assert all(len(s) == 1 for s in shapes)
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_report_carries_the_state_norms_of_its_trajectory(mode):
+    g = unit_grid()
+    params = default_params()
+    if mode == "local":
+        cfg = IterationConfig(T=0.05, dt=0.0125, tol=1e-8)
+        traj, rep = run_local(local_bump_state(g), cfg, params)
+    else:
+        cfg = IterationConfig(T=0.5, dt=0.05, tol=1e-9, beta=0.1)
+        traj, rep = run_global(global_bump_state(g, params), cfg, params)
+    assert same_bits(rep.state_norms, state_norm(traj.state_stack, cfg.q))
+
+
+def conserved_by_sample(traj, params=None):
+    """Reference series: the per-sample loop over FullState views."""
+    grid = traj.grid
+    mass, energy = [], []
+    for st, mp in zip(traj.states, traj.maps):
+        if traj.mode == "local":
+            d = mp.delta
+            m = integrate_fluid(grid, st.rho.values * d)
+            kin = 0.5 * integrate_fluid(grid, st.rho.values * np.sum(st.v.values**2, axis=-1) * d)
+            th = 0.5 * integrate_fluid(grid, st.theta.values**2 * d)
+        else:
+            rb = params.rho_bar
+            m = integrate_fluid(grid, st.rho.values) + rb * integrate_beam(grid, st.eta1.values)
+            kin = 0.5 * rb * integrate_fluid(grid, np.sum(st.v.values**2, axis=-1))
+            th = 0.5 * integrate_fluid(grid, st.theta.values**2)
+        mass.append(m)
+        energy.append(kin + th + plate_energy(st.eta1, st.eta2))
+    return np.array(mass), np.array(energy)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_batched_conserved_quantities_match_per_sample_loop(mode, n):
+    g = unit_grid(n)
+    params = default_params()
+    if mode == "local":
+        traj = march_local(local_bump_state(g), IterationConfig(T=0.05, dt=0.0125), params)
+    else:
+        cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
+        traj = march_global(global_bump_state(g, params), cfg, params, bundle=forcing_bundle(g, cfg))
+    cs = conserved_quantities(traj, params)
+    mass, energy = conserved_by_sample(traj, params)
+    assert same_bits(cs.mass, mass)
+    assert same_bits(cs.energy, energy)

@@ -269,6 +269,22 @@ def test_mean_zero_spectrum_is_the_restricted_spectrum():
         assert np.abs(np.sort_complex(vals) - ref).max() < 1e-8 * np.abs(ref).max()
 
 
+def test_spectrum_orders_tied_real_parts_by_imaginary_part():
+    # real parts tie exactly within a conjugate pair and across blocks; the
+    # order must not depend on how the eigensolver lists them
+    blocks = [np.array([[-1.0, 2.0], [-2.0, -1.0]]), np.array([[-2.0, 1.0], [-1.0, -2.0]]),
+              np.array([[-1.0]]), np.array([[-1.0, 3.0], [-3.0, -1.0]])]
+    dense = la.block_diag(*blocks)
+    want = np.array([-1 + 3j, -1 + 2j, -1 + 0j, -1 - 2j, -1 - 3j, -2 + 1j, -2 - 1j])
+    n = dense.shape[0]
+    for perm in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(2).permutation(n)):
+        op = OperatorMatrix(sp.csr_matrix(dense[np.ix_(perm, perm)]), "full", np.ones(n), "tied")
+        vals = spectrum(op)
+        assert np.array_equal(vals.real, want.real)
+        assert np.allclose(vals.imag, want.imag, rtol=0, atol=1e-12)
+        assert np.all(np.diff(vals.imag[vals.real == -1.0]) < 0)
+
+
 def test_decay_margin_stable_under_refinement():
     betas = []
     for n in (8, 12):

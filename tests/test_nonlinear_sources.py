@@ -8,6 +8,7 @@ from fsilab.linear_subsystems import PhysParams
 from fsilab.nonlinear_sources import (
     FullState,
     MeanFluctSplit,
+    _global_density_source,
     check_compatibility,
     eval_global_sources,
     eval_local_sources,
@@ -445,3 +446,35 @@ def test_batched_plate_split_check_names_the_offending_sample():
     stack = FullState.stack([good, good, bad, good])
     with pytest.raises(NumericsError, match="at sample 2"):
         eval_global_sources(stack, DiffeoMap.stack([mets] * 4), p)
+
+
+def test_density_source_helper_matches_full_evaluation_on_a_trajectory():
+    from fsilab.cli_io import scenario_library
+    from fsilab.fixed_point import IterationConfig, _difference_quotients, march_global
+
+    g = unit_grid(16)
+    p = PhysParams()
+    cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
+    traj = march_global(scenario_library("beam-pluck", g), cfg, p)
+    states, maps = traj.state_stack, traj.map_stack
+    assert states.rho.values.shape[0] == cfg.nt
+    full = eval_global_sources(
+        states, maps, p,
+        dv_dt=_difference_quotients(states.v.values, cfg.dt),
+        dtheta_dt=_difference_quotients(states.theta.values, cfg.dt),
+    )
+    assert np.max(np.abs(full[0])) > 0
+    assert same_bits(_global_density_source(states, maps, p)[0], full[0])
+
+
+def test_density_source_helper_keeps_the_checks():
+    g = unit_grid(8)
+    B, delta, A = metric_tensors(g, identity_map(g))
+    bad_delta = delta.copy()
+    bad_delta[3, 3] = -0.1
+    with pytest.raises(DiffeoFailure):
+        _global_density_source(make_state(g), (B, bad_delta, A), PhysParams())
+    with pytest.raises(ConfigError):
+        _global_density_source(make_state(g, rho=np.full(g.shape, -2.0)), (B, delta, A), PhysParams())
+    with pytest.raises(ConfigError):
+        _global_density_source(make_state(g), (B, delta, A), PhysParams(pi0=0.5))
