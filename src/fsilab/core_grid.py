@@ -349,11 +349,7 @@ class DiffOps:
         (7, -4, 1) / h^4.
         """
         n = self.grid.nx - 1
-        m = np.zeros((n, n))
-        for r in range(n):
-            for c, w in ((r - 2, 1.0), (r - 1, -4.0), (r, 6.0), (r + 1, -4.0), (r + 2, 1.0)):
-                if 0 <= c < n:
-                    m[r, c] += w
+        m = sum(w * np.eye(n, k=k) for k, w in ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)))
         m[0, 0] += 1.0
         m[-1, -1] += 1.0
         return m / self.grid.hx**4

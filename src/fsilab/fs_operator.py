@@ -33,6 +33,10 @@ domain tag, and its consumers project instead of shifting the kernel away:
 spectra drop the two kernel eigenvalues, and sector scans measure
 lam (lam I - A)^{-1} on the image of the Gram-orthogonal projector onto
 {C x = 0}, solving with the sparse LU of lam I - A.
+
+The grid and the rest state are symmetric under the mirror x -> L - x, and
+A commutes with it exactly, so `spectrum` solves A's even and odd blocks
+of about half the size after certifying that entry for entry.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .linear_subsystems import (
     _fv_diffusion,
     _identity_metric,
     _splu,
+    _stencil_matrix,
     plate_operator,
 )
 from .nonlinear_sources import FullState
@@ -257,28 +262,19 @@ def _sbp_first_diff(n: int, h: float) -> sp.csr_matrix:
     """1-D first derivative: centered inside, one-sided first order at the
     ends.  With trapezoid weights W this satisfies W D + D^T W = boundary
     terms only, which is what makes the stacked mass functional exact."""
-    rows, cols, vals = [], [], []
     inv = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-inv, inv]
-    rows += [0, 0, n - 1, n - 1]
-    cols += [0, 1, n - 2, n - 1]
-    vals += [-1.0 / h, 1.0 / h, -1.0 / h, 1.0 / h]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return _stencil_matrix(
+        n,
+        [(-1, -inv), (1, inv)],
+        [(0, 0, -1.0 / h), (0, 1, 1.0 / h), (-1, -2, -1.0 / h), (-1, -1, 1.0 / h)],
+    )
 
 
 def _second_diff_interior(n: int, h: float) -> sp.csr_matrix:
     """1-D second derivative with zero end rows (only interior rows are
     ever selected into the assembled operator)."""
-    rows, cols, vals = [], [], []
     inv = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [inv, -2.0 * inv, inv]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return _stencil_matrix(n, [(-1, inv), (0, -2.0 * inv), (1, inv)])
 
 
 def _grid_operators(grid: Grid2D):
@@ -294,6 +290,15 @@ def _grid_operators(grid: Grid2D):
     dy_os = sp.kron(ix, _d1_matrix(ny1, grid.hy), format="csr")
     dxy = (dx_os @ dy_os).tocsr()
     return dx_sbp, dy_sbp, dxx, dyy, dxy
+
+
+def _viscous_stencils(params: PhysParams, dxx, dyy, dxy):
+    """Full-grid momentum stencils (m_xx, m_xy, m_yy) of the viscous flow,
+    mu/rho_bar Lap + (alpha + mu)/rho_bar grad div."""
+    coef_lap = params.mu / params.rho_bar
+    coef_div = (params.alpha + params.mu) / params.rho_bar
+    lap = dxx + dyy
+    return coef_lap * lap + coef_div * dxx, coef_div * dxy, coef_lap * lap + coef_div * dyy
 
 
 def _selection(layout: BlockLayout):
@@ -342,8 +347,6 @@ def assemble_coupled(
 
     rho_bar = params.rho_bar
     mu = params.mu
-    coef_lap = mu / rho_bar
-    coef_div = (params.alpha + mu) / rho_bar
     ni = layout.n_interior
     m = layout.n_beam
     n = grid.n_nodes
@@ -363,10 +366,7 @@ def assemble_coupled(
         blocks[R][E2] = -rho_bar * (dy_sbp @ top)
         blocks[R][R] = eps * fv
 
-        lap = dxx + dyy
-        mxx = coef_lap * lap + coef_div * dxx
-        myy = coef_lap * lap + coef_div * dyy
-        mxy = coef_div * dxy
+        mxx, mxy, myy = _viscous_stencils(params, dxx, dyy, dxy)
         blocks[VX][VX] = sel @ mxx @ sel.T
         blocks[VX][VY] = sel @ mxy @ sel.T
         blocks[VX][E2] = sel @ mxy @ top
@@ -398,19 +398,11 @@ def assemble_coupled(
         # horizontal part of the divergence drops out identically)
         visc = 2.0 * mu + params.alpha
         hy = grid.hy
-        ny1 = grid.ny + 1
-        rows, cols, vals = [], [], []
-        int_pos = np.full(n, -1, dtype=int)
-        int_pos[layout.interior_flat] = np.arange(ni)
-        for k in range(m):
-            i = k + 1
-            below1 = int_pos[i * ny1 + (ny1 - 2)]
-            below2 = int_pos[i * ny1 + (ny1 - 3)]
-            rows += [k, k]
-            cols += [below1, below2]
-            vals += [-visc * (-2.0 / hy), -visc * (0.5 / hy)]
-        stress_vy = sp.csr_matrix((vals, (rows, cols)), shape=(m, ni))
-        add = lambda b, extra: extra if b is None else b + extra
+        # interior positions of the two nodes below each top node
+        below1 = np.searchsorted(layout.interior_flat, layout.top_flat - 1)
+        vals = np.repeat([[-visc * (-2.0 / hy), -visc * (0.5 / hy)]], m, axis=0)
+        at = (np.repeat(np.arange(m), 2), np.column_stack([below1, below1 - 1]).ravel())
+        stress_vy = sp.csr_matrix((vals.ravel(), at), shape=(m, ni))
         blocks[E2][VY] = add(blocks[E2][VY], stress_vy)
         blocks[E2][E2] = add(
             blocks[E2][E2], sp.identity(m, format="csr") * (-visc * 1.5 / hy)
@@ -453,23 +445,8 @@ def assemble_block(grid: Grid2D, params: PhysParams, which: str) -> OperatorMatr
     if which == "velocity":
         layout = block_layout(grid)
         sel, _, _ = _selection(layout)
-        _, _, dxx, dyy, dxy = _grid_operators(grid)
-        coef_lap = params.mu / params.rho_bar
-        coef_div = (params.alpha + params.mu) / params.rho_bar
-        lap = dxx + dyy
-        mat = sp.bmat(
-            [
-                [
-                    sel @ (coef_lap * lap + coef_div * dxx) @ sel.T,
-                    sel @ (coef_div * dxy) @ sel.T,
-                ],
-                [
-                    sel @ (coef_div * dxy) @ sel.T,
-                    sel @ (coef_lap * lap + coef_div * dyy) @ sel.T,
-                ],
-            ],
-            format="csr",
-        )
+        mxx, mxy, myy = _viscous_stencils(params, *_grid_operators(grid)[2:])
+        mat = sp.bmat([[sel @ a @ sel.T for a in row] for row in ((mxx, mxy), (mxy, myy))], format="csr")
         w_int = grid.weights.ravel()[layout.interior_flat]
         weights = np.concatenate([w_int, w_int])
         return OperatorMatrix(
@@ -579,14 +556,65 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 # ---------------------------------------------------------------- spectra
 
 
+def _reflection(layout: BlockLayout):
+    """The mirror x -> L - x as a signed permutation, (R x)[k] = sign[k]
+    x[perm[k]]: nodes (i, j) -> (nx - i, j), vx changes sign, the beam
+    blocks reverse."""
+    grid = layout.grid
+    node = np.arange(grid.n_nodes).reshape(grid.shape)[::-1].ravel()
+    inner = np.searchsorted(layout.interior_flat, node[layout.interior_flat])
+    beam = np.arange(layout.n_beam)[::-1]
+    parts = [(layout.sl_rho, node), (layout.sl_vx, inner), (layout.sl_vy, inner),
+             (layout.sl_theta, node), (layout.sl_eta1, beam), (layout.sl_eta2, beam)]
+    perm = np.concatenate([sl.start + idx for sl, idx in parts])
+    sign = np.ones(layout.total)
+    sign[layout.sl_vx] = -1.0
+    return perm, sign
+
+
+def _invariant_bases(op: OperatorMatrix):
+    """[(rows, P)]: A[rows] @ P is A on the invariant subspace spanned by P.
+
+    When A commutes exactly with the mirror R (`(R A R != A).nnz == 0`),
+    the blocks are R's even and odd subspaces: each pair k < perm[k] gives
+    the column e_k + parity sign[k] e_perm[k], each fixed unknown (the
+    centre column) gives e_k to the block of its sign.  P is the identity
+    on `rows`, so A[rows] @ P is an exact similarity whose entries are sums
+    of two entries of A.  Otherwise the symmetry is the identity and the
+    one block holds all of A.
+    """
+    n = op.shape[0]
+    k = np.arange(n)
+    perm, sign = k, np.ones(n)
+    if op.layout is not None:
+        mirror_perm, mirror_sign = _reflection(op.layout)
+        mirror = sp.csr_matrix((mirror_sign, (k, mirror_perm)), shape=(n, n))
+        if (mirror @ op.matrix @ mirror != op.matrix).nnz == 0:
+            perm, sign = mirror_perm, mirror_sign
+    bases = []
+    for parity in (1.0, -1.0):
+        rows = np.flatnonzero((k < perm) | ((k == perm) & (sign == parity)))
+        pair = np.flatnonzero(perm[rows] != rows)
+        entries = np.concatenate([np.ones(rows.size), parity * sign[rows[pair]]])
+        at = (np.concatenate([rows, perm[rows[pair]]]), np.concatenate([np.arange(rows.size), pair]))
+        if rows.size:
+            bases.append((rows, sp.csr_matrix((entries, at), shape=(n, rows.size))))
+    return bases
+
+
 def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part, ties by descending
     imaginary part (a conjugate pair lists +Im first).
 
+    Each block of `_invariant_bases` gets its own dense eigensolve: two
+    half-size blocks for an operator certified to commute with the mirror
+    x -> L - x, else one block holding all of A.  Eigenvectors are lifted
+    through the block bases and normalised to unit length.
+
     On the mean-zero subspace (`restrict="mean_zero"`, or a mean-zero
     operator) the two eigenvalues of smallest modulus, the kernel of the
-    conserved quantities, are dropped from one eigensolve of A.  Whether
-    they really are the kernel is `kernel_dimension`'s certificate.
+    conserved quantities (both kernel vectors are even), are dropped.
+    Whether they really are the kernel is `kernel_dimension`'s certificate.
     """
     if restrict not in ("native", "full", "mean_zero"):
         raise ConfigError(f"unknown spectrum restriction {restrict!r}")
@@ -599,22 +627,24 @@ def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = 
         raise ConfigError(
             f"dense eigensolve refused for dimension {n} > {MAX_DENSE_DIM}"
         )
-    dense = op.matrix.toarray()
-    if with_vectors:
-        vals, vecs = la.eig(dense)
-    else:
-        vals = la.eigvals(dense)
-        vecs = None
+    vals, vecs = [], []
+    for rows, basis in _invariant_bases(op):
+        block = (op.matrix[rows] @ basis).toarray()
+        if with_vectors:
+            w, v = la.eig(block)
+            vecs.append(basis @ v)
+        else:
+            w = la.eigvals(block)
+        vals.append(w)
+    vals = np.concatenate(vals)
+    keep = np.arange(vals.size)
     if op.domain == "mean_zero":
         keep = np.sort(np.argsort(np.abs(vals))[2:])
-        vals = vals[keep]
-        if vecs is not None:
-            vecs = vecs[:, keep]
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals = vals[order]
-    if with_vectors:
-        return vals, vecs[:, order]
-    return vals
+    order = keep[np.lexsort((-vals[keep].imag, -vals[keep].real))]
+    if not with_vectors:
+        return vals[order]
+    vecs = np.hstack(vecs)[:, order]
+    return vals[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
 def sector_rim(op: OperatorMatrix) -> float:

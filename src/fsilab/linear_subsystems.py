@@ -258,16 +258,26 @@ def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float, sc
 # ------------------------------------------------------------------ sparse assembly
 
 
+def _stencil_matrix(n: int, inner, ends=()) -> sp.csr_matrix:
+    """n x n matrix with the stencil `inner`, (offset, value) pairs, on rows
+    1 .. n-2 and the (row, col, value) entries `ends`; negative rows and
+    columns count from the end."""
+    i = np.arange(1, n - 1)
+    rows = np.concatenate([np.tile(i, len(inner)), [r % n for r, _, _ in ends]])
+    cols = np.concatenate([i + o for o, _ in inner] + [[c % n for _, c, _ in ends]])
+    vals = np.concatenate([np.full(n - 2, v) for _, v in inner] + [[v for _, _, v in ends]])
+    return sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
+
+
 @lru_cache(maxsize=None)
 def _d1_matrix(n_nodes: int, h: float) -> sp.csr_matrix:
     # centered rows inside, second-order one-sided rows at both ends
-    m = sp.lil_matrix((n_nodes, n_nodes))
-    for i in range(1, n_nodes - 1):
-        m[i, i - 1] = -0.5 / h
-        m[i, i + 1] = 0.5 / h
-    m[0, 0], m[0, 1], m[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    m[-1, -1], m[-1, -2], m[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return m.tocsr()
+    return _stencil_matrix(
+        n_nodes,
+        [(-1, -0.5 / h), (1, 0.5 / h)],
+        [(0, 0, -1.5 / h), (0, 1, 2.0 / h), (0, 2, -0.5 / h),
+         (-1, -1, 1.5 / h), (-1, -2, -2.0 / h), (-1, -3, 0.5 / h)],
+    )
 
 
 @lru_cache(maxsize=None)

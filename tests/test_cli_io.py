@@ -253,6 +253,30 @@ def test_identical_config_and_seed_give_identical_csv(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = spectrum\nnx = 10\n",
+        "mode = global\nnx = 8\nT = 0.5\ndt = 0.05\nbeta = 0.1\nscenario = beam-pluck\n",
+    ],
+    ids=["spectrum", "global-pluck"],
+)
+def test_two_runs_in_one_process_write_identical_artifacts(tmp_path, text):
+    # every CSV and snapshot; report.txt holds the wall clock, config.txt the out_dir
+    def artifacts(run):
+        run_scenario(parse_config(text + f"out_dir = {tmp_path / run}\n"))
+        root = tmp_path / run
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*")
+            if p.is_file() and p.name not in ("report.txt", "config.txt")
+        }
+
+    first = artifacts("a")
+    assert any(name.endswith(".csv") for name in first)
+    assert first == artifacts("b")
+
+
 def test_spectrum_mode_artifacts(tmp_path):
     cfg = parse_config(f"mode = spectrum\nnx = 10\nout_dir = {tmp_path}\n")
     report = run_scenario(cfg)
@@ -485,6 +509,18 @@ def test_cli_picard_max_iters_exits_3(tmp_path):
     assert rc == 3
     assert "status: FAIL" in out
     assert "max-iters" in out
+
+
+def test_cli_ball_exit_exits_3(tmp_path):
+    rc, out, _ = run_cli(
+        ["run", "--override", "mode=local", "--override", "scenario=beam-pluck", "--override", "nx=8",
+         "--override", "T=0.05", "--override", "R=1e-12", "--out", str(tmp_path / "r")]
+    )
+    assert rc == 3
+    text = (tmp_path / "r" / "report.txt").read_text()
+    assert "status: FAIL" in text
+    assert "ball-exit" in text and "left the ball of radius 1.000e-12" in text
+    assert text in out
 
 
 def test_cli_numerics_error_exits_3(tmp_path, monkeypatch):

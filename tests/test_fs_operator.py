@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -10,6 +12,8 @@ import fsilab.fs_operator as fs_operator
 from fsilab.fs_operator import (
     OperatorMatrix,
     _gram_maps,
+    _invariant_bases,
+    _reflection,
     _splu,
     _weight_gram,
     assemble_block,
@@ -301,6 +305,94 @@ def test_eigenpair_residuals():
         x = vecs[:, k]
         resid = np.linalg.norm(A @ x - vals[k] * x) / np.linalg.norm(x)
         assert resid < 1e-8 * (1.0 + abs(vals[k]))
+
+
+def _dense_spectrum(matrix, restrict):
+    vals = la.eigvals(matrix.toarray())
+    if restrict == "mean_zero":
+        vals = vals[np.argsort(np.abs(vals))[2:]]
+    return vals[np.lexsort((-vals.imag, -vals.real))]
+
+
+def _bumped(op):
+    # one density diagonal entry moved: A no longer commutes with the mirror
+    bump = sp.csr_matrix(([1e-6 * abs(op.matrix).max()], ([0], [0])), shape=op.shape)
+    return dataclasses.replace(op, matrix=(op.matrix + bump).tocsr())
+
+
+MIRROR_GRIDS = [(1.0, 7, 7), (1.0, 8, 8), (0.5, 12, 17)]
+
+
+@pytest.mark.parametrize("H, nx, ny", MIRROR_GRIDS)
+def test_reflection_is_an_involution_on_the_layout(H, nx, ny):
+    layout = block_layout(build_grid(1.0, H, nx, ny))
+    perm, sign = _reflection(layout)
+    k = np.arange(layout.total)
+    assert np.array_equal(perm[perm], k)
+    assert np.array_equal(sign[perm], sign)
+    for sl in (layout.sl_rho, layout.sl_vx, layout.sl_vy, layout.sl_theta,
+               layout.sl_eta1, layout.sl_eta2):
+        assert np.array_equal(np.sort(perm[sl]), k[sl])
+    # the packed mirror image of random fields is the mirrored packed vector
+    rng = np.random.default_rng(3)
+    shape = layout.grid.shape
+    rho, theta = rng.standard_normal((2,) + shape)
+    v = rng.standard_normal(shape + (2,))
+    eta1, eta2 = rng.standard_normal((2, nx + 1))
+    x = pack_fields(layout, rho, v, theta, eta1, eta2)
+    mirrored = pack_fields(layout, rho[::-1], v[::-1] * np.array([-1.0, 1.0]),
+                           theta[::-1], eta1[::-1], eta2[::-1])
+    assert np.array_equal(sign * x[perm], mirrored)
+
+
+@pytest.mark.parametrize("restrict", ["full", "mean_zero"])
+@pytest.mark.parametrize("H, nx, ny", MIRROR_GRIDS)
+def test_split_spectrum_equals_dense_eigenvalues(H, nx, ny, restrict):
+    op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
+    bases = _invariant_bases(op)
+    assert len(bases) == 2
+    assert sum(rows.size for rows, _ in bases) == op.shape[0]
+    ref = _dense_spectrum(op.matrix, restrict)
+    vals = spectrum(op, restrict=restrict)
+    assert vals.size == ref.size
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_kernel_eigenvalues_lie_in_the_even_block():
+    op = coupled(8)
+    perm, sign = _reflection(op.layout)
+    kern = kernel_vectors(op.layout, op.params)
+    assert np.abs(sign[:, None] * kern[perm] - kern).max() < 1e-12 * np.abs(kern).max()
+    small = [
+        np.sum(np.abs(la.eigvals((op.matrix[rows] @ basis).toarray())) < 1e-8)
+        for rows, basis in _invariant_bases(op)
+    ]
+    assert small == [2, 0]
+
+
+def test_broken_mirror_symmetry_falls_back_to_one_block():
+    op = _bumped(coupled(8))
+    assert len(_invariant_bases(op)) == 1
+    for restrict in ("full", "mean_zero"):
+        ref = _dense_spectrum(op.matrix, restrict)
+        vals = spectrum(op, restrict=restrict)
+        assert vals.size == ref.size
+        assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+    grid = unit_grid(8)
+    assert len(_invariant_bases(assemble_block(grid, default_params(), "plate"))) == 1
+
+
+@pytest.mark.parametrize("case", ["nx7", "nx8", "bumped"])
+@pytest.mark.parametrize("restrict", ["full", "mean_zero"])
+def test_lifted_eigenvectors_are_unit_eigenpairs(case, restrict):
+    op = coupled(7) if case == "nx7" else coupled(8)
+    if case == "bumped":
+        op = _bumped(op)
+    vals, vecs = spectrum(op, restrict=restrict, with_vectors=True)
+    assert vecs.shape == (op.shape[0], vals.size)
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
+    resid = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
+    assert np.all(resid < 1e-8 * (1.0 + np.abs(vals)))
 
 
 def test_dense_eig_dimension_guard():
