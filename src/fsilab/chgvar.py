@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_grid import BeamField, Grid2D, diff_ops
+from .core_grid import BeamField, Grid2D, _cumtrapz, diff_ops
 from .errors import ConfigError, DiffeoFailure, GeometryError
 
 __all__ = [
@@ -293,8 +293,7 @@ def update_map(X0: DiffeoMap, v_history, dt: float, c0: float = 0.0) -> DiffeoMa
         raise ConfigError(f"velocity history has shape {vh.shape}, expected (nt, nx+1, ny+1, 2)")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    disp = np.trapezoid(vh, dx=dt, axis=0)
-    return build_diffeo(X0.grid, X0.X + disp, c0=c0)
+    return build_diffeo(X0.grid, X0.X + _cumtrapz(vh, dt)[-1], c0=c0)
 
 
 def check_diffeo(dmap: DiffeoMap, c0: float) -> DiffeoCertificate:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_grid import FluidField, BeamField, Grid2D, build_grid, integrate_beam, integrate_fluid
+from .core_grid import FluidField, BeamField, Grid2D, _cumtrapz, build_grid, integrate_beam, integrate_fluid
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
 from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local
 from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, sector_rim, spectrum
@@ -84,6 +84,9 @@ class RunConfig:
     half-opening in sector mode; it stays unset for modes that need
     neither. Grid and parameter defaults are the nondimensional choice
     where every coefficient is one and the background pressure balances.
+    Construction raises one ConfigError listing every problem: the
+    grid's and the physical parameters' own in every mode, the
+    iteration's in local and global mode, and the rules of the run.
     """
 
     mode: str
@@ -112,6 +115,38 @@ class RunConfig:
     out_dir: str = "runs"
     seed: int = 0
 
+    def __post_init__(self):
+        problems = []
+        bad = problems.append
+        if self.mode is None:
+            bad(f"mode is required (one of {', '.join(MODES)})")
+        elif self.mode not in MODES:
+            bad(f"unknown mode {self.mode!r} (one of {', '.join(MODES)})")
+        _problems_of(self.make_grid, problems)
+        params = _problems_of(self.physical, problems)
+        if self.scenario not in SCENARIOS:
+            bad(f"unknown scenario {self.scenario!r} (one of {', '.join(SCENARIOS)})")
+        if not math.isfinite(self.amplitude):
+            bad(f"amplitude must be finite, got {self.amplitude!r}")
+        if self.seed < 0:
+            bad(f"seed must be non-negative, got {self.seed}")
+        if self.mode in ("local", "global"):
+            _problems_of(self.iteration, problems)
+        if self.mode == "global":
+            if self.beta is None:
+                bad("mode=global requires beta (positive decay weight)")
+            elif not self.beta > 0:
+                bad(f"beta must be positive, got {self.beta:g}")
+            if params is not None:
+                _problems_of(params.require_global, problems)
+        if self.mode == "sector":
+            if self.beta is None:
+                bad("mode=sector requires beta (sector half-opening in radians)")
+            elif not 0 < self.beta < math.pi:
+                bad(f"sector half-opening beta must lie in (0, pi), got {self.beta:g}")
+        if problems:
+            raise ConfigError.from_problems(problems)
+
     def physical(self) -> PhysParams:
         return PhysParams(
             mu=self.mu,
@@ -131,7 +166,8 @@ class RunConfig:
             R=self.R,
             max_iters=self.max_iters,
             tol=self.tol,
-            beta=self.beta if self.beta is not None else 0.0,
+            # beta weighs time only in a global march; sector mode reads it as an angle
+            beta=self.beta if self.mode == "global" and self.beta is not None else 0.0,
             p=self.p,
             q=self.q,
         )
@@ -183,69 +219,13 @@ def _convert(pairs: dict, violations: list) -> dict:
     return values
 
 
-def _validate(v: dict, violations: list):
-    bad = lambda msg: violations.append(msg)
-    mode = v["mode"]
-    if mode is None:
-        bad(f"mode is required (one of {', '.join(MODES)})")
-    elif mode not in MODES:
-        bad(f"unknown mode {mode!r} (one of {', '.join(MODES)})")
-    if not (v["L"] > 0 and v["H"] > 0):
-        bad(f"domain dimensions must be positive, got L={v['L']:g}, H={v['H']:g}")
-    if v["nx"] < 4 or v["ny"] < 4:
-        bad(f"need at least 4 cells per axis, got nx={v['nx']}, ny={v['ny']}")
-    if not v["mu"] > 0:
-        bad(f"shear viscosity mu must be positive, got {v['mu']:g}")
-    combined = v["alpha"] + 2.0 * v["mu"] / 3.0
-    if not combined > 0:
-        bad(f"alpha + 2*mu/3 = {combined:g} <= 0; the combined viscosity must be positive")
-    for key in ("kappa", "c_v", "R0", "rho_bar", "theta_bar"):
-        if not v[key] > 0:
-            bad(f"{key} must be positive, got {v[key]:g}")
-    if v["scenario"] not in SCENARIOS:
-        bad(f"unknown scenario {v['scenario']!r} (one of {', '.join(SCENARIOS)})")
-    if not math.isfinite(v["amplitude"]):
-        bad(f"amplitude must be finite, got {v['amplitude']!r}")
-    if v["seed"] < 0:
-        bad(f"seed must be non-negative, got {v['seed']}")
-
-    if mode in ("local", "global"):
-        if not v["T"] > 0:
-            bad(f"horizon T must be positive, got {v['T']:g}")
-        if not v["dt"] > 0:
-            bad(f"step dt must be positive, got {v['dt']:g}")
-        if v["T"] > 0 and v["dt"] > 0:
-            n = round(v["T"] / v["dt"])
-            if n < 1 or abs(n * v["dt"] - v["T"]) > 1e-9 * max(v["T"], 1.0):
-                bad(f"dt={v['dt']:g} does not divide the horizon T={v['T']:g}")
-        if not v["tol"] > 0:
-            bad(f"tol must be positive, got {v['tol']:g}")
-        if v["max_iters"] < 1:
-            bad(f"max_iters must be at least 1, got {v['max_iters']}")
-        if v["R"] is not None and not v["R"] > 0:
-            bad(f"ball radius R must be positive when given, got {v['R']:g}")
-        if not v["p"] > 2:
-            bad(f"time exponent p must exceed 2, got {v['p']:g}")
-        if not v["q"] > 3:
-            bad(f"space exponent q must exceed 3, got {v['q']:g}")
-        if v["p"] > 2 and v["q"] > 3 and abs(1.0 / v["p"] + 1.0 / (2.0 * v["q"]) - 0.5) < 1e-12:
-            bad(f"resonant exponent pair p={v['p']:g}, q={v['q']:g} (1/p + 1/(2q) = 1/2)")
-    if mode == "global":
-        if v["beta"] is None:
-            bad("mode=global requires beta (positive decay weight)")
-        elif not v["beta"] > 0:
-            bad(f"beta must be positive, got {v['beta']:g}")
-        balance = v["pi0"] + v["R0"] * v["rho_bar"] * v["theta_bar"]
-        if abs(balance) > 1e-12 * max(abs(v["pi0"]), 1.0):
-            bad(
-                f"mode=global requires the balanced background pressure pi0 = "
-                f"-R0*rho_bar*theta_bar = {-v['R0'] * v['rho_bar'] * v['theta_bar']:g}, got {v['pi0']:g}"
-            )
-    if mode == "sector":
-        if v["beta"] is None:
-            bad("mode=sector requires beta (sector half-opening in radians)")
-        elif not 0 < v["beta"] < math.pi:
-            bad(f"sector half-opening beta must lie in (0, pi), got {v['beta']:g}")
+def _problems_of(build, problems: list):
+    """build(), or None after adding the problems of the ConfigError it raised."""
+    try:
+        return build()
+    except ConfigError as err:
+        problems.extend(err.problems)
+        return None
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -262,12 +242,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     for k, ov in enumerate(overrides, start=1):
         _tokenize(ov, violations, pairs, where=f"override {k}")
     values = _convert(pairs, violations)
-    _validate(values, violations)
+    cfg = _problems_of(lambda: RunConfig(**values), violations)
     if violations:
-        n = len(violations)
-        noun = "problem" if n == 1 else "problems"
-        raise ConfigError(f"invalid configuration ({n} {noun}):\n  - " + "\n  - ".join(violations))
-    return RunConfig(**values)
+        raise ConfigError.from_problems(violations)
+    return cfg
 
 
 def print_config(cfg: RunConfig) -> str:
@@ -474,11 +452,10 @@ def _mass_balance_drift(traj, params) -> float:
     trapezoid correction the residual sits at the Picard stopping scale.
     """
     grid = traj.grid
-    dt = traj.dt
     states = traj.state_stack
     mass = integrate_fluid(grid, states.rho.values) + params.rho_bar * integrate_beam(grid, states.eta1.values)
     src = integrate_fluid(grid, _global_density_source(states, traj.map_stack, params)[0])
-    injected = np.concatenate(([0.0], np.cumsum(0.5 * dt * (src[1:] + src[:-1]))))
+    injected = _cumtrapz(src, traj.dt)
     return float(np.max(np.abs(mass - mass[0] - injected)))
 
 

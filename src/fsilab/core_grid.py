@@ -141,10 +141,13 @@ def _trapezoid_widths(n_nodes: int, h: float) -> np.ndarray:
 
 def build_grid(L: float, H: float, nx: int, ny: int) -> Grid2D:
     """Validate dimensions and cell counts, return the grid."""
+    problems = []
     if not (L > 0 and H > 0):
-        raise ConfigError(f"domain dimensions must be positive, got L={L}, H={H}")
+        problems.append(f"domain dimensions must be positive, got L={L:g}, H={H:g}")
     if nx < 4 or ny < 4:
-        raise ConfigError(f"need at least 4 cells per axis, got nx={nx}, ny={ny}")
+        problems.append(f"need at least 4 cells per axis, got nx={nx}, ny={ny}")
+    if problems:
+        raise ConfigError.from_problems(problems)
     return Grid2D(float(L), float(H), int(nx), int(ny))
 
 
@@ -385,6 +388,13 @@ def integrate_fluid(grid: Grid2D, f: np.ndarray):
 def integrate_beam(grid: Grid2D, f: np.ndarray):
     """Trapezoid integral of a beam node array over (0, L) (per sample of a stack)."""
     return _per_sample(np.sum(grid.beam_weights * f, axis=-1))
+
+
+def _cumtrapz(a: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along axis 0, zero at the first sample."""
+    out = np.zeros_like(a)
+    out[1:] = np.cumsum(0.5 * dt * (a[1:] + a[:-1]), axis=0)
+    return out
 
 
 def beam_embed(grid: Grid2D, interior: np.ndarray) -> np.ndarray:

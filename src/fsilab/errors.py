@@ -10,7 +10,21 @@ class FsilabError(Exception):
 
 
 class ConfigError(FsilabError):
-    """Invalid configuration, arguments, or input data."""
+    """Invalid configuration, arguments, or input data.
+
+    `problems` holds every violation the raise found, one message each;
+    a raise built by from_problems lists them all in its message.
+    """
+
+    def __init__(self, message: str, problems: tuple = ()):
+        super().__init__(message)
+        self.problems = tuple(problems) or (message,)
+
+    @classmethod
+    def from_problems(cls, problems) -> "ConfigError":
+        n = len(problems)
+        noun = "problem" if n == 1 else "problems"
+        return cls(f"invalid configuration ({n} {noun}):\n  - " + "\n  - ".join(problems), problems)
 
 
 class NumericsError(FsilabError):

@@ -27,6 +27,7 @@ from .core_grid import (
     FluidField,
     Grid2D,
     NormSpec,
+    _cumtrapz,
     _per_sample,
     _qth_root,
     discrete_norm,
@@ -76,23 +77,33 @@ class IterationConfig:
     q: float = 4.0
 
     def __post_init__(self):
-        if not self.T > 0 or not self.dt > 0:
-            raise ConfigError(f"horizon and step must be positive, got T={self.T} dt={self.dt}")
-        n = round(self.T / self.dt)
-        if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
-            raise ConfigError(f"dt={self.dt} does not divide the horizon T={self.T}")
-        if self.R is not None and not self.R > 0:
-            raise ConfigError(f"ball radius must be positive, got R={self.R}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
+        problems = []
+        bad = problems.append
+        T, dt, p, q = self.T, self.dt, self.p, self.q
+        if not 0 < T < math.inf:
+            bad(f"horizon T must be positive and finite, got {T:g}")
+        if not dt > 0:
+            bad(f"step dt must be positive, got {dt:g}")
+        if 0 < T < math.inf and dt > 0:
+            n = round(T / dt)
+            if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+                bad(f"dt={dt:g} does not divide the horizon T={T:g}")
         if not self.tol > 0:
-            raise ConfigError(f"tolerance must be positive, got tol={self.tol}")
-        if self.beta < 0:
-            raise ConfigError(f"decay weight must be nonnegative, got beta={self.beta}")
-        if not self.p > 2 or not self.q > 3:
-            raise ConfigError(f"exponents need p > 2 and q > 3, got p={self.p} q={self.q}")
-        if abs(1.0 / self.p + 1.0 / (2.0 * self.q) - 0.5) < 1e-12:
-            raise ConfigError(f"resonant exponent pair p={self.p} q={self.q}: 1/p + 1/(2q) = 1/2")
+            bad(f"tol must be positive, got {self.tol:g}")
+        if self.max_iters < 1:
+            bad(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.R is not None and not self.R > 0:
+            bad(f"ball radius R must be positive when given, got {self.R:g}")
+        if not self.beta >= 0:
+            bad(f"decay weight beta must be nonnegative, got {self.beta:g}")
+        if not p > 2:
+            bad(f"time exponent p must exceed 2, got {p:g}")
+        if not q > 3:
+            bad(f"space exponent q must exceed 3, got {q:g}")
+        if p > 2 and q > 3 and abs(1.0 / p + 1.0 / (2.0 * q) - 0.5) < 1e-12:
+            bad(f"resonant exponent pair p={p:g}, q={q:g} (1/p + 1/(2q) = 1/2)")
+        if problems:
+            raise ConfigError.from_problems(problems)
 
     @property
     def nt(self) -> int:
@@ -285,13 +296,6 @@ def _diff_norm(new: SourceBundle, old: SourceBundle, cfg: IterationConfig, beta:
     return weighted_time_norm(s, new.dt, NormSpec(0, cfg.q, cfg.p, beta))
 
 
-def _cumtrapz(a: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoid integral along axis 0, zero at the first sample."""
-    out = np.zeros_like(a)
-    out[1:] = np.cumsum(0.5 * dt * (a[1:] + a[:-1]), axis=0)
-    return out
-
-
 def _maps_from_history(X0: DiffeoMap, vhist: np.ndarray, dt: float, c0: float):
     """Rebuild the map at every sample from the velocity history.
 
@@ -410,11 +414,10 @@ def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: flo
 class _LocalEngine:
     """Frozen-map cascade plus source evaluation for one local run."""
 
-    def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams, shear_convention: str):
+    def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams):
         self.initial = initial
         self.cfg = cfg
         self.params = params
-        self.shear_convention = shear_convention
         self.grid = initial.grid
         self.X0, self.c0, self.R = _preflight(initial, cfg, params, "local")
         self.rho0 = initial.rho
@@ -460,7 +463,6 @@ class _LocalEngine:
             states, maps, self.X0, self.rho0, self.params,
             dv_dt=_difference_quotients(states.v.values, dt),
             dtheta_dt=_difference_quotients(states.theta.values, dt),
-            shear_convention=self.shear_convention,
         )
         return SourceBundle(self.grid, dt, *sources)
 
@@ -478,11 +480,10 @@ class _GlobalEngine:
     mass and mean functionals exactly, step by step.
     """
 
-    def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams, shear_convention: str):
+    def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams):
         self.initial = initial
         self.cfg = cfg
         self.params = params
-        self.shear_convention = shear_convention
         self.grid = initial.grid
         self.X0, self.c0, self.R = _preflight(initial, cfg, params, "global")
         op = assemble_coupled(self.grid, params)
@@ -557,7 +558,6 @@ class _GlobalEngine:
             states, maps, self.params,
             dv_dt=_difference_quotients(states.v.values, dt),
             dtheta_dt=_difference_quotients(states.theta.values, dt),
-            shear_convention=self.shear_convention,
         )
         return SourceBundle(self.grid, dt, *sources)
 
@@ -573,7 +573,6 @@ def run_local(
     initial: FullState,
     cfg: IterationConfig,
     params: PhysParams | None = None,
-    shear_convention: str = "printed",
     first_bundle: SourceBundle | None = None,
 ):
     """Short-horizon Picard construction around the frozen-map cascade.
@@ -586,7 +585,7 @@ def run_local(
     floor hit ends the loop with the matching status instead of raising.
     """
     params = params if params is not None else default_params()
-    eng = _LocalEngine(initial, cfg, params, shear_convention)
+    eng = _LocalEngine(initial, cfg, params)
     bundle0 = first_bundle if first_bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt)
     _check_bundle(bundle0, cfg.nt, want_hat=False)
     states, maps, _, report = _picard(
@@ -601,7 +600,6 @@ def run_global(
     cfg: IterationConfig,
     params: PhysParams | None = None,
     t_max: float | None = None,
-    shear_convention: str = "printed",
     first_bundle: SourceBundle | None = None,
 ):
     """Picard construction around the decaying linearisation.
@@ -617,7 +615,7 @@ def run_global(
         raise ConfigError(f"the global iteration needs a positive decay weight, got beta={cfg.beta}")
     if t_max is not None:
         cfg = replace(cfg, T=float(t_max))
-    eng = _GlobalEngine(initial, cfg, params, shear_convention)
+    eng = _GlobalEngine(initial, cfg, params)
     bundle0 = first_bundle if first_bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=True)
     _check_bundle(bundle0, cfg.nt, want_hat=True)
     states, maps, _, report = _picard(
@@ -634,7 +632,6 @@ def march_local(
     cfg: IterationConfig,
     params: PhysParams | None = None,
     bundle: SourceBundle | None = None,
-    shear_convention: str = "printed",
 ) -> Trajectory:
     """One pass of the frozen-map cascade with fixed sources (zeros if omitted).
 
@@ -642,7 +639,7 @@ def march_local(
     exposed for consistency and conservation studies. Map failures raise.
     """
     params = params if params is not None else default_params()
-    eng = _LocalEngine(initial, cfg, params, shear_convention)
+    eng = _LocalEngine(initial, cfg, params)
     bundle = bundle if bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt)
     _check_bundle(bundle, cfg.nt, want_hat=False)
     states, maps, err = eng.march(bundle)
@@ -656,12 +653,11 @@ def march_global(
     cfg: IterationConfig,
     params: PhysParams | None = None,
     bundle: SourceBundle | None = None,
-    shear_convention: str = "printed",
 ) -> Trajectory:
     """One pass of the split linear march with fixed sources (zeros if omitted)."""
     params = params if params is not None else default_params()
     params.require_global()
-    eng = _GlobalEngine(initial, cfg, params, shear_convention)
+    eng = _GlobalEngine(initial, cfg, params)
     bundle = bundle if bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=True)
     _check_bundle(bundle, cfg.nt, want_hat=True)
     states, maps, err = eng.march(bundle)

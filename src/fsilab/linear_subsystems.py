@@ -7,16 +7,15 @@ consumes the fresh velocity. Variable coefficients are frozen at the
 initial map's metric tensors; everything the moving geometry does
 beyond that enters through source terms.
 
-Implicit steps are backward Euler by default, Crank-Nicolson on
-request. Velocity boundary conditions are Dirichlet constraint rows;
-the temperature solve is a control-volume balance whose boundary boxes
-absorb the prescribed conormal flux. The density equation has no
-spatial coupling and updates nodewise by the trapezoid rule.
+Implicit steps are backward Euler. Velocity boundary conditions are
+Dirichlet constraint rows; the temperature solve is a control-volume
+balance whose boundary boxes absorb the prescribed conormal flux. The
+density equation has no spatial coupling and updates nodewise by the
+trapezoid rule.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +35,6 @@ __all__ = [
     "VelocityStepper",
     "TemperatureStepper",
     "step_plate",
-    "step_velocity",
-    "step_temperature",
     "step_density",
     "solve_lift_Dv",
     "plate_operator",
@@ -66,14 +63,17 @@ class PhysParams:
     theta_bar: float = 1.0
 
     def __post_init__(self):
+        problems = []
         if not self.mu > 0:
-            raise ConfigError(f"shear viscosity must be positive, got mu={self.mu}")
-        if not self.alpha + 2.0 * self.mu / 3.0 > 0:
-            raise ConfigError(f"bulk constraint alpha + 2 mu / 3 > 0 violated: {self.alpha + 2 * self.mu / 3}")
-        if not self.kappa > 0 or not self.c_v > 0 or not self.R0 > 0:
-            raise ConfigError("kappa, c_v and R0 must be positive")
-        if not self.rho_bar > 0 or not self.theta_bar > 0:
-            raise ConfigError("reference density and temperature must be positive")
+            problems.append(f"shear viscosity mu must be positive, got {self.mu:g}")
+        combined = self.alpha + 2.0 * self.mu / 3.0
+        if not combined > 0:
+            problems.append(f"alpha + 2*mu/3 = {combined:g} <= 0; the combined viscosity must be positive")
+        for key in ("kappa", "c_v", "R0", "rho_bar", "theta_bar"):
+            if not getattr(self, key) > 0:
+                problems.append(f"{key} must be positive, got {getattr(self, key):g}")
+        if problems:
+            raise ConfigError.from_problems(problems)
 
     @property
     def kappa_bar(self) -> float:
@@ -81,13 +81,15 @@ class PhysParams:
 
     @property
     def is_global(self) -> bool:
-        return abs(self.pi0 + self.R0 * self.rho_bar * self.theta_bar) <= 1e-12 * abs(self.R0 * self.rho_bar * self.theta_bar)
+        p_bar = self.R0 * self.rho_bar * self.theta_bar
+        return abs(self.pi0 + p_bar) <= 1e-12 * abs(p_bar)
 
     def require_global(self):
         if not self.is_global:
-            raise ConfigError(
-                f"perturbation mode needs pi0 = -R0 rho_bar theta_bar = {-self.R0 * self.rho_bar * self.theta_bar}, got {self.pi0}"
-            )
+            raise ConfigError.from_problems([
+                f"mode=global requires the balanced background pressure pi0 = "
+                f"-R0*rho_bar*theta_bar = {-self.R0 * self.rho_bar * self.theta_bar!r}, got {self.pi0!r}"
+            ])
 
 
 def default_params(**overrides) -> PhysParams:
@@ -201,16 +203,9 @@ def plate_operator(grid: Grid2D) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _plate_factor(grid: Grid2D, dt: float, scheme: str):
+def _plate_factor(grid: Grid2D, dt: float):
     A = plate_operator(grid)
-    n = A.shape[0]
-    if scheme == "be":
-        M = np.eye(n) - dt * A
-    elif scheme == "cn":
-        M = np.eye(n) - 0.5 * dt * A
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return scipy.linalg.lu_factor(M), A
+    return scipy.linalg.lu_factor(np.eye(A.shape[0]) - dt * A)
 
 
 def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
@@ -230,21 +225,16 @@ def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
     return _per_sample(np.reshape(energy, eta1.values.shape[:-1]))
 
 
-def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float, scheme: str = "be"):
-    """One implicit step of the damped clamped beam in first-order form."""
+def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float):
+    """One backward Euler step of the damped clamped beam in first-order form."""
     grid = eta1.grid
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     m = grid.nx - 1
-    lu, A = _plate_factor(grid, float(dt), scheme)
     x = np.concatenate([eta1.values[1:-1], eta2.values[1:-1]])
     src = np.concatenate([np.zeros(m), h_src.values[1:-1]])
-    if scheme == "be":
-        rhs = x + dt * src
-    else:
-        rhs = x + 0.5 * dt * (A @ x) + dt * src
     try:
-        xn = scipy.linalg.lu_solve(lu, rhs)
+        xn = scipy.linalg.lu_solve(_plate_factor(grid, float(dt)), x + dt * src)
     except scipy.linalg.LinAlgError as e:  # pragma: no cover
         raise NumericsError(f"plate solve failed: {e}") from e
     if not np.all(np.isfinite(xn)):
@@ -325,6 +315,27 @@ def _aniso_diffusion(grid: Grid2D, K: np.ndarray) -> sp.csr_matrix:
     m = m + Dx @ sp.diags(K[..., 0, 1].ravel()) @ Dy
     m = m + Dy @ sp.diags(K[..., 1, 0].ravel()) @ Dx
     return m.tocsr()
+
+
+def _viscous_operator(grid: Grid2D, metrics, params: PhysParams) -> sp.csr_matrix:
+    """Matrix for v -> div T0(v) on the stacked components (vx, vy).
+
+    T0(v) = mu grad(v) A0 + ((mu + alpha) / delta0) B0 grad(v)^T B0 with
+    the metric triplet (B0, delta0, A0); rows at boundary nodes are
+    incomplete as in _aniso_diffusion.
+    """
+    B0, delta0, A0 = metrics
+    coef = (params.mu + params.alpha) / delta0
+    blocks = []
+    for a in (0, 1):
+        row = []
+        for d in (0, 1):
+            K = coef[..., None, None] * np.einsum("...b,...c->...bc", B0[..., d, :], B0[..., a, :])
+            if a == d:
+                K = K + params.mu * A0
+            row.append(_aniso_diffusion(grid, K))
+        blocks.append(row)
+    return sp.bmat(blocks, format="csr")
 
 
 def _fv_diffusion(grid: Grid2D, K: np.ndarray):
@@ -432,41 +443,25 @@ class VelocityStepper:
     the walls.
     """
 
-    def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float, scheme: str = "be"):
+    def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float):
         if not dt > 0:
             raise ConfigError(f"dt must be positive, got {dt}")
-        if scheme not in ("be", "cn"):
-            raise ConfigError(f"unknown scheme {scheme!r}")
         B0, delta0, A0 = _as_metrics(X0metrics)
         r0 = _field_values(rho0, grid)
         if np.min(r0) <= 0:
             raise ConfigError("initial density must be positive nodewise")
         self.grid = grid
         self.dt = float(dt)
-        self.scheme = scheme
-        N = grid.n_nodes
-        coef = (params.mu + params.alpha) / delta0
-        blocks = []
-        for a in (0, 1):
-            row = []
-            for d in (0, 1):
-                K = coef[..., None, None] * np.einsum("...b,...c->...bc", B0[..., d, :], B0[..., a, :])
-                if a == d:
-                    K = K + params.mu * A0
-                row.append(_aniso_diffusion(grid, K))
-            blocks.append(row)
         scale = sp.diags(np.tile(1.0 / (r0 * delta0).ravel(), 2))
-        L = scale @ sp.bmat(blocks, format="csr")
-        interior, boundary, _ = _masks(grid)
+        L = scale @ _viscous_operator(grid, (B0, delta0, A0), params)
+        interior, boundary, top = _masks(grid)
         int2 = np.concatenate([interior, interior])
         bnd2 = np.concatenate([boundary, boundary])
         self._int2 = int2
-        self._L_int = _row_select(int2) @ L
-        eye = sp.eye(2 * N, format="csr")
-        half = 1.0 if scheme == "be" else 0.5
-        M = _row_select(int2) @ (eye / dt) - half * self._L_int + _row_select(bnd2)
+        eye = sp.eye(2 * grid.n_nodes, format="csr")
+        M = _row_select(int2) @ (eye / dt) - _row_select(int2) @ L + _row_select(bnd2)
         self._lu = _splu(M, "velocity")
-        self._top_flat = np.flatnonzero(_masks(grid)[2])
+        self._top_flat = np.flatnonzero(top)
 
     def step(self, v, eta2, f2) -> np.ndarray:
         grid = self.grid
@@ -476,8 +471,6 @@ class VelocityStepper:
         v2 = np.concatenate([vv[..., 0].ravel(), vv[..., 1].ravel()])
         f2b = np.concatenate([ff[..., 0].ravel(), ff[..., 1].ravel()])
         rhs = np.where(self._int2, v2 / self.dt + f2b, 0.0)
-        if self.scheme == "cn":
-            rhs = rhs + 0.5 * (self._L_int @ v2)
         N = grid.n_nodes
         trace = np.zeros(2 * N)
         trace[N + self._top_flat] = e2[1:-1]
@@ -504,29 +497,22 @@ class TemperatureStepper:
     extrapolation closure stalls near 1.5 on practical grids).
     """
 
-    def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float, gamma1: float = 0.0, scheme: str = "be"):
+    def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float, gamma1: float = 0.0):
         if not dt > 0:
             raise ConfigError(f"dt must be positive, got {dt}")
         if gamma1 < 0:
             raise ConfigError(f"gamma1 must be nonnegative, got {gamma1}")
-        if scheme not in ("be", "cn"):
-            raise ConfigError(f"unknown scheme {scheme!r}")
         B0, delta0, A0 = _as_metrics(X0metrics)
         r0 = _field_values(rho0, grid)
         if np.min(r0) <= 0:
             raise ConfigError("initial density must be positive nodewise")
         self.grid = grid
         self.dt = float(dt)
-        self.gamma1 = float(gamma1)
-        self.scheme = scheme
         coef = params.kappa / (params.c_v * r0 * delta0)
         balance, flux_scale = _fv_diffusion(grid, A0)
-        self._op = sp.diags(coef.ravel()) @ balance
         self._g_scale = coef * flux_scale
-        N = grid.n_nodes
-        eye = sp.eye(N, format="csr")
-        half = 1.0 if scheme == "be" else 0.5
-        M = (1.0 / dt + half * gamma1) * eye - half * self._op
+        eye = sp.eye(grid.n_nodes, format="csr")
+        M = (1.0 / dt + gamma1) * eye - sp.diags(coef.ravel()) @ balance
         self._lu = _splu(M, "temperature")
 
     def step(self, theta, f3, g) -> np.ndarray:
@@ -535,56 +521,8 @@ class TemperatureStepper:
         f = _field_values(f3, grid).ravel()
         gv = _field_values(g, grid)
         rhs = th / self.dt + f + (self._g_scale * gv).ravel()
-        if self.scheme == "cn":
-            rhs = rhs + 0.5 * (self._op @ th) - 0.5 * self.gamma1 * th
         sol = _check_finite(self._lu.solve(rhs), "temperature solve")
         return sol.reshape(grid.shape)
-
-
-# ------------------------------------------------------------------ cached one-shot wrappers
-
-
-_STEPPER_CACHE: dict = {}
-
-
-def _array_token(*arrays) -> str:
-    hsh = hashlib.sha1()
-    for a in arrays:
-        hsh.update(np.ascontiguousarray(a).tobytes())
-    return hsh.hexdigest()
-
-
-def _cached(kind, key, build):
-    if len(_STEPPER_CACHE) > 64:
-        _STEPPER_CACHE.clear()
-    full = (kind,) + key
-    if full not in _STEPPER_CACHE:
-        _STEPPER_CACHE[full] = build()
-    return _STEPPER_CACHE[full]
-
-
-def step_velocity(v, eta2, f2, X0metrics, rho0, dt, params: PhysParams | None = None, scheme: str = "be") -> np.ndarray:
-    """One implicit velocity step; see VelocityStepper for the scheme."""
-    params = params or PhysParams()
-    grid = v.grid if isinstance(v, FluidField) else eta2.grid
-    B0, delta0, A0 = _as_metrics(X0metrics)
-    r0 = _field_values(rho0, grid)
-    key = (grid, float(dt), scheme, params, _array_token(B0, delta0, A0, r0))
-    stepper = _cached("v", key, lambda: VelocityStepper(grid, (B0, delta0, A0), r0, params, dt, scheme))
-    return stepper.step(v, eta2, f2)
-
-
-def step_temperature(theta, f3, g, X0metrics, rho0, dt, gamma1: float = 0.0, params: PhysParams | None = None, scheme: str = "be") -> np.ndarray:
-    """One implicit temperature step; see TemperatureStepper for the scheme."""
-    params = params or PhysParams()
-    grid = theta.grid if isinstance(theta, FluidField) else None
-    if grid is None:
-        raise ConfigError("theta must be a FluidField so the grid is known")
-    B0, delta0, A0 = _as_metrics(X0metrics)
-    r0 = _field_values(rho0, grid)
-    key = (grid, float(dt), float(gamma1), scheme, params, _array_token(B0, delta0, A0, r0))
-    stepper = _cached("t", key, lambda: TemperatureStepper(grid, (B0, delta0, A0), r0, params, dt, gamma1, scheme))
-    return stepper.step(theta, f3, g)
 
 
 # ------------------------------------------------------------------ density
@@ -630,19 +568,8 @@ def solve_lift_Dv(eta2: BeamField, params: PhysParams) -> np.ndarray:
     params.require_global()
     grid = eta2.grid
     N = grid.n_nodes
-    blocks = []
-    coef = params.mu + params.alpha
     eye = _identity_metric(grid)
-    B0 = eye  # identity cofactor
-    for a in (0, 1):
-        row = []
-        for d in (0, 1):
-            K = coef * np.einsum("...b,...c->...bc", B0[..., d, :], B0[..., a, :])
-            if a == d:
-                K = K + params.mu * eye
-            row.append(_aniso_diffusion(grid, K))
-        blocks.append(row)
-    L = sp.bmat(blocks, format="csr") / params.rho_bar
+    L = _viscous_operator(grid, (eye, np.ones(grid.shape), eye), params) / params.rho_bar
     interior, boundary, top = _masks(grid)
     int2 = np.concatenate([interior, interior])
     bnd2 = np.concatenate([boundary, boundary])

@@ -109,6 +109,30 @@ def test_unbalanced_global_pressure_rejected():
     assert "pi0" in str(exc.value)
 
 
+def test_global_pressure_balance_is_relative_to_the_background_pressure():
+    # R0 rho_bar theta_bar = 1e-3, so a gap of 5e-13 is 5e-10 of the
+    # background pressure: the parser holds it to the rule the march uses
+    text = "mode = global\nbeta = 0.1\nR0 = 0.1\nrho_bar = 0.1\ntheta_bar = 0.1\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text + "pi0 = -0.0010000000005\n")
+    msg = str(exc.value)
+    assert "1 problem" in msg and "pi0" in msg
+    assert repr(-0.0010000000005) in msg and repr(-0.1 * 0.1 * 0.1) in msg
+    cfg = parse_config(text + f"pi0 = {-0.1 * 0.1 * 0.1!r}\n")
+    cfg.physical().require_global()
+
+
+def test_run_config_built_directly_is_validated():
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(mode="warp")
+    assert "unknown mode 'warp'" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(mode="global", nx=2, mu=0.0, T=0.1, dt=0.03)
+    # the grid, both viscosity rules, the step, and the missing beta
+    assert len(exc.value.problems) == 5
+    assert "does not divide" in str(exc.value) and "requires beta" in str(exc.value)
+
+
 def test_sector_angle_bounds():
     with pytest.raises(ConfigError):
         parse_config("mode = sector\n")
@@ -258,8 +282,10 @@ def test_identical_config_and_seed_give_identical_csv(tmp_path):
     [
         "mode = spectrum\nnx = 10\n",
         "mode = global\nnx = 8\nT = 0.5\ndt = 0.05\nbeta = 0.1\nscenario = beam-pluck\n",
+        "mode = local\nnx = 8\nscenario = beam-pluck\n",
+        "mode = sector\nnx = 8\nbeta = 2.356\n",
     ],
-    ids=["spectrum", "global-pluck"],
+    ids=["spectrum", "global-pluck", "local-pluck", "sector"],
 )
 def test_two_runs_in_one_process_write_identical_artifacts(tmp_path, text):
     # every CSV and snapshot; report.txt holds the wall clock, config.txt the out_dir

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab import fixed_point as fp
-from fsilab.chgvar import build_cutoff, build_diffeo, initial_diffeo, suggested_floor
+from fsilab.chgvar import build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
 from fsilab.core_grid import (
     BeamField,
     FluidField,
@@ -120,6 +120,7 @@ def test_config_rejects_nondividing_step():
     "kw",
     [
         dict(T=-1.0, dt=0.1),
+        dict(T=float("inf"), dt=0.1),
         dict(T=1.0, dt=-0.1),
         dict(T=1.0, dt=0.1, R=0.0),
         dict(T=1.0, dt=0.1, tol=0.0),
@@ -563,8 +564,10 @@ def test_batched_map_rebuild_matches_per_sample_build():
     assert len(series.delta) == len(ref) == vhist.shape[0]
     for n, m in enumerate(ref):
         s = series.sample(n)
+        one_shot = update_map(X0, vhist[: n + 1], dt, c0)
         for f in ("X", "gradX", "B", "delta", "A"):
             assert same_bits(getattr(s, f), getattr(m, f)), (n, f)
+            assert same_bits(getattr(s, f), getattr(one_shot, f)), (n, f)
 
 
 @pytest.mark.parametrize("amplitude", [10.0, 100.0])
