@@ -174,9 +174,14 @@ def _det2(g: np.ndarray) -> np.ndarray:
 
 
 def _conormal(B: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # symmetrized after the product to kill the last bits of round-off asymmetry
-    A = np.einsum("...ca,...cb->...ab", B, B) / delta[..., None, None]
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    # B^T B / delta written out: one off-diagonal product serves both
+    # corners, so the result is symmetric bit for bit
+    b00, b01, b10, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+    A = np.empty(B.shape)
+    A[..., 0, 0] = (b00 * b00 + b10 * b10) / delta
+    A[..., 1, 1] = (b01 * b01 + b11 * b11) / delta
+    A[..., 0, 1] = A[..., 1, 0] = (b00 * b01 + b10 * b11) / delta
+    return A
 
 
 def _floor_failure(delta: np.ndarray, c0: float) -> DiffeoFailure | None:

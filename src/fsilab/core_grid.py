@@ -142,8 +142,8 @@ def _trapezoid_widths(n_nodes: int, h: float) -> np.ndarray:
 def build_grid(L: float, H: float, nx: int, ny: int) -> Grid2D:
     """Validate dimensions and cell counts, return the grid."""
     problems = []
-    if not (L > 0 and H > 0):
-        problems.append(f"domain dimensions must be positive, got L={L:g}, H={H:g}")
+    if not (0 < L < math.inf and 0 < H < math.inf):
+        problems.append(f"domain dimensions must be positive and finite, got L={L:g}, H={H:g}")
     if nx < 4 or ny < 4:
         problems.append(f"need at least 4 cells per axis, got nx={nx}, ny={ny}")
     if problems:

@@ -61,6 +61,7 @@ from .linear_subsystems import (
     _stencil_matrix,
     plate_operator,
 )
+from .mirror import MirrorBlocks
 from .nonlinear_sources import FullState
 
 __all__ = [
@@ -556,57 +557,11 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 # ---------------------------------------------------------------- spectra
 
 
-def _reflection(layout: BlockLayout):
-    """The mirror x -> L - x as a signed permutation, (R x)[k] = sign[k]
-    x[perm[k]]: nodes (i, j) -> (nx - i, j), vx changes sign, the beam
-    blocks reverse."""
-    grid = layout.grid
-    node = np.arange(grid.n_nodes).reshape(grid.shape)[::-1].ravel()
-    inner = np.searchsorted(layout.interior_flat, node[layout.interior_flat])
-    beam = np.arange(layout.n_beam)[::-1]
-    parts = [(layout.sl_rho, node), (layout.sl_vx, inner), (layout.sl_vy, inner),
-             (layout.sl_theta, node), (layout.sl_eta1, beam), (layout.sl_eta2, beam)]
-    perm = np.concatenate([sl.start + idx for sl, idx in parts])
-    sign = np.ones(layout.total)
-    sign[layout.sl_vx] = -1.0
-    return perm, sign
-
-
-def _invariant_bases(op: OperatorMatrix):
-    """[(rows, P)]: A[rows] @ P is A on the invariant subspace spanned by P.
-
-    When A commutes exactly with the mirror R (`(R A R != A).nnz == 0`),
-    the blocks are R's even and odd subspaces: each pair k < perm[k] gives
-    the column e_k + parity sign[k] e_perm[k], each fixed unknown (the
-    centre column) gives e_k to the block of its sign.  P is the identity
-    on `rows`, so A[rows] @ P is an exact similarity whose entries are sums
-    of two entries of A.  Otherwise the symmetry is the identity and the
-    one block holds all of A.
-    """
-    n = op.shape[0]
-    k = np.arange(n)
-    perm, sign = k, np.ones(n)
-    if op.layout is not None:
-        mirror_perm, mirror_sign = _reflection(op.layout)
-        mirror = sp.csr_matrix((mirror_sign, (k, mirror_perm)), shape=(n, n))
-        if (mirror @ op.matrix @ mirror != op.matrix).nnz == 0:
-            perm, sign = mirror_perm, mirror_sign
-    bases = []
-    for parity in (1.0, -1.0):
-        rows = np.flatnonzero((k < perm) | ((k == perm) & (sign == parity)))
-        pair = np.flatnonzero(perm[rows] != rows)
-        entries = np.concatenate([np.ones(rows.size), parity * sign[rows[pair]]])
-        at = (np.concatenate([rows, perm[rows[pair]]]), np.concatenate([np.arange(rows.size), pair]))
-        if rows.size:
-            bases.append((rows, sp.csr_matrix((entries, at), shape=(n, rows.size))))
-    return bases
-
-
 def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part, ties by descending
     imaginary part (a conjugate pair lists +Im first).
 
-    Each block of `_invariant_bases` gets its own dense eigensolve: two
+    Each block of `MirrorBlocks` gets its own dense eigensolve: two
     half-size blocks for an operator certified to commute with the mirror
     x -> L - x, else one block holding all of A.  Eigenvectors are lifted
     through the block bases and normalised to unit length.
@@ -628,7 +583,7 @@ def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = 
             f"dense eigensolve refused for dimension {n} > {MAX_DENSE_DIM}"
         )
     vals, vecs = [], []
-    for rows, basis in _invariant_bases(op):
+    for rows, basis in MirrorBlocks(op).bases:
         block = (op.matrix[rows] @ basis).toarray()
         if with_vectors:
             w, v = la.eig(block)

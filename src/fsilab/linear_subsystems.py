@@ -16,6 +16,7 @@ trapezoid rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chgvar import DiffeoMap
-from .core_grid import BeamField, FluidField, Grid2D, _per_sample, _trapezoid_widths, beam_embed, diff_ops
+from .core_grid import BeamField, FluidField, Grid2D, _per_sample, _trapezoid_widths, beam_embed, build_grid, diff_ops
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -64,14 +65,17 @@ class PhysParams:
 
     def __post_init__(self):
         problems = []
-        if not self.mu > 0:
-            problems.append(f"shear viscosity mu must be positive, got {self.mu:g}")
+        if not 0 < self.mu < math.inf:
+            problems.append(f"shear viscosity mu must be positive and finite, got {self.mu:g}")
+        for key in ("alpha", "pi0"):
+            if not math.isfinite(getattr(self, key)):
+                problems.append(f"{key} must be finite, got {getattr(self, key):g}")
         combined = self.alpha + 2.0 * self.mu / 3.0
         if not combined > 0:
             problems.append(f"alpha + 2*mu/3 = {combined:g} <= 0; the combined viscosity must be positive")
         for key in ("kappa", "c_v", "R0", "rho_bar", "theta_bar"):
-            if not getattr(self, key) > 0:
-                problems.append(f"{key} must be positive, got {getattr(self, key):g}")
+            if not 0 < getattr(self, key) < math.inf:
+                problems.append(f"{key} must be positive and finite, got {getattr(self, key):g}")
         if problems:
             raise ConfigError.from_problems(problems)
 
@@ -169,14 +173,10 @@ def _as_metrics(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _field_values(f, grid, kind="scalar"):
-    if isinstance(f, FluidField):
-        return f.values
-    if isinstance(f, BeamField):
+    if isinstance(f, (FluidField, BeamField)):
         return f.values
     arr = np.asarray(f, dtype=float)
-    want = grid.shape if kind == "scalar" else grid.shape + (2,)
-    if kind == "beam":
-        want = (grid.nx + 1,)
+    want = {"scalar": grid.shape, "vector": grid.shape + (2,), "beam": (grid.nx + 1,)}[kind]
     if arr.shape != want:
         raise ConfigError(f"expected array of shape {want}, got {arr.shape}")
     return arr
@@ -408,14 +408,17 @@ def _fv_diffusion(grid: Grid2D, K: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _masks(grid: Grid2D):
-    interior = grid.mask_interior.ravel()
-    boundary = grid.mask_boundary.ravel()
-    top = grid.mask_top.ravel()
-    return interior, boundary, top
+    return grid.mask_interior.ravel(), grid.mask_top.ravel()
 
 
-def _row_select(mask: np.ndarray) -> sp.dia_matrix:
-    return sp.diags(mask.astype(float))
+def _frozen_coefficients(grid: Grid2D, X0metrics, rho0, dt: float):
+    """Metric triplet and density nodes a frozen-coefficient stepper is built on."""
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    r0 = _field_values(rho0, grid)
+    if np.min(r0) <= 0:
+        raise ConfigError("initial density must be positive nodewise")
+    return _as_metrics(X0metrics), r0
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -425,8 +428,16 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _splu(M: sp.spmatrix, what: str):
+    """Sparse LU of M; nothing else in the package factors a sparse matrix.
+
+    One ordering rule for every factor: minimum degree on the pattern of
+    M^T + M in SuperLU's symmetric mode, pivoting off the diagonal only
+    when it falls under a tenth of its column's largest entry. The
+    matrices here are structurally symmetric or nearly so, and get about
+    half the fill of SuperLU's default column ordering (COLAMD).
+    """
     try:
-        return spla.splu(M.tocsc())
+        return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as e:
         raise NumericsError(f"{what} factorization failed: {e}") from e
 
@@ -434,52 +445,58 @@ def _splu(M: sp.spmatrix, what: str):
 # ------------------------------------------------------------------ velocity
 
 
+class _PinnedVelocity:
+    """Solves (shift - L) v = rhs for v pinned to zero on the walls and to
+    the beam trace (vertical component) on the top edge. Only interior
+    unknowns are factored, so the matrix is structurally symmetric; the
+    trace reaches the interior rows through L's interior-to-top block, and
+    the boundary values are exact by construction."""
+
+    def __init__(self, grid: Grid2D, L: sp.spmatrix, shift: float, what: str):
+        interior, top = _masks(grid)
+        self.grid = grid
+        self.what = what
+        self._inner = np.flatnonzero(np.concatenate([interior, interior]))
+        self._trace = grid.n_nodes + np.flatnonzero(top)
+        rows = L.tocsr()[self._inner]
+        self._carry = rows[:, self._trace].tocsr()
+        self._lu = _splu(shift * sp.eye(self._inner.size) - rows[:, self._inner], what)
+
+    def solve(self, rhs: np.ndarray, e2: np.ndarray) -> np.ndarray:
+        """rhs (nx+1, ny+1, 2) is read at interior nodes; e2 is the beam trace on nx+1 nodes."""
+        grid = self.grid
+        trace = e2[1:-1]
+        b = np.moveaxis(rhs, -1, 0).reshape(-1)[self._inner] + self._carry @ trace
+        flat = np.zeros(2 * grid.n_nodes)
+        flat[self._inner] = _check_finite(self._lu.solve(b), f"{self.what} solve")
+        flat[self._trace] = trace
+        return np.stack(flat.reshape((2,) + grid.shape), axis=-1)
+
+
 class VelocityStepper:
     """Implicit stepper for the frozen-coefficient momentum equation.
 
-    Interior rows advance dv/dt = (1 / (rho0 delta0)) div T0(v) + f2
+    Interior nodes advance dv/dt = (1 / (rho0 delta0)) div T0(v) + f2
     with T0(v) = mu grad(v) A0 + ((mu + alpha) / delta0) B0 grad(v)^T B0.
-    Boundary rows pin v to the beam trace on the top edge and to zero on
-    the walls.
+    v is pinned to the beam trace on the top edge and to zero on the
+    walls, and the factored system holds the interior unknowns only
+    (`_PinnedVelocity`).
     """
 
     def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float):
-        if not dt > 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        B0, delta0, A0 = _as_metrics(X0metrics)
-        r0 = _field_values(rho0, grid)
-        if np.min(r0) <= 0:
-            raise ConfigError("initial density must be positive nodewise")
+        metrics, r0 = _frozen_coefficients(grid, X0metrics, rho0, dt)
         self.grid = grid
         self.dt = float(dt)
-        scale = sp.diags(np.tile(1.0 / (r0 * delta0).ravel(), 2))
-        L = scale @ _viscous_operator(grid, (B0, delta0, A0), params)
-        interior, boundary, top = _masks(grid)
-        int2 = np.concatenate([interior, interior])
-        bnd2 = np.concatenate([boundary, boundary])
-        self._int2 = int2
-        eye = sp.eye(2 * grid.n_nodes, format="csr")
-        M = _row_select(int2) @ (eye / dt) - _row_select(int2) @ L + _row_select(bnd2)
-        self._lu = _splu(M, "velocity")
-        self._top_flat = np.flatnonzero(top)
+        scale = sp.diags(np.tile(1.0 / (r0 * metrics[1]).ravel(), 2))
+        L = scale @ _viscous_operator(grid, metrics, params)
+        self._pinned = _PinnedVelocity(grid, L, 1.0 / dt, "velocity")
 
     def step(self, v, eta2, f2) -> np.ndarray:
         grid = self.grid
         vv = _field_values(v, grid, "vector")
         ff = _field_values(f2, grid, "vector")
         e2 = _field_values(eta2, grid, "beam")
-        v2 = np.concatenate([vv[..., 0].ravel(), vv[..., 1].ravel()])
-        f2b = np.concatenate([ff[..., 0].ravel(), ff[..., 1].ravel()])
-        rhs = np.where(self._int2, v2 / self.dt + f2b, 0.0)
-        N = grid.n_nodes
-        trace = np.zeros(2 * N)
-        trace[N + self._top_flat] = e2[1:-1]
-        rhs = rhs + np.where(self._int2, 0.0, trace)
-        sol = _check_finite(self._lu.solve(rhs), "velocity solve")
-        out = np.empty(grid.shape + (2,))
-        out[..., 0] = sol[:N].reshape(grid.shape)
-        out[..., 1] = sol[N:].reshape(grid.shape)
-        return out
+        return self._pinned.solve(vv / self.dt + ff, e2)
 
 
 # ------------------------------------------------------------------ temperature
@@ -498,14 +515,9 @@ class TemperatureStepper:
     """
 
     def __init__(self, grid: Grid2D, X0metrics, rho0, params: PhysParams, dt: float, gamma1: float = 0.0):
-        if not dt > 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
+        (_, delta0, A0), r0 = _frozen_coefficients(grid, X0metrics, rho0, dt)
         if gamma1 < 0:
             raise ConfigError(f"gamma1 must be nonnegative, got {gamma1}")
-        B0, delta0, A0 = _as_metrics(X0metrics)
-        r0 = _field_values(rho0, grid)
-        if np.min(r0) <= 0:
-            raise ConfigError("initial density must be positive nodewise")
         self.grid = grid
         self.dt = float(dt)
         coef = params.kappa / (params.c_v * r0 * delta0)
@@ -567,20 +579,9 @@ def solve_lift_Dv(eta2: BeamField, params: PhysParams) -> np.ndarray:
     """
     params.require_global()
     grid = eta2.grid
-    N = grid.n_nodes
     eye = _identity_metric(grid)
     L = _viscous_operator(grid, (eye, np.ones(grid.shape), eye), params) / params.rho_bar
-    interior, boundary, top = _masks(grid)
-    int2 = np.concatenate([interior, interior])
-    bnd2 = np.concatenate([boundary, boundary])
-    M = -(_row_select(int2) @ L) + _row_select(bnd2)
-    rhs = np.zeros(2 * N)
-    rhs[N + np.flatnonzero(top)] = eta2.values[1:-1]
-    sol = _check_finite(spla.spsolve(M.tocsc(), rhs), "lifting solve")
-    out = np.empty(grid.shape + (2,))
-    out[..., 0] = sol[:N].reshape(grid.shape)
-    out[..., 1] = sol[N:].reshape(grid.shape)
-    return out
+    return _PinnedVelocity(grid, L, 0.0, "lifting").solve(np.zeros(grid.shape + (2,)), eta2.values)
 
 
 # ------------------------------------------------------------------ manufactured harness
@@ -664,38 +665,33 @@ def _plate_family_discrete(grid):
     return exact, forcing
 
 
-def _march_heat(grid, params, dt, n_steps, exact, forcing):
-    identity = _identity_metric(grid)
-    ones = np.ones(grid.shape)
-    stepper = TemperatureStepper(grid, (identity, ones, identity), ones, params, dt)
-    th = exact(0.0, grid.xx, grid.yy)
-    zero_g = np.zeros(grid.shape)
+def _march_family(stepper: str, grid: Grid2D, params: PhysParams, dt: float, n_steps: int, discrete: bool):
+    """March a stepper's closed-form family n_steps of dt from its exact
+    initial value; returns the final field and the family's exact solution
+    as a function of time. `discrete` picks the plate family whose samples
+    solve the semi-discrete system, so that only the time-integration error
+    is left."""
+    if stepper == "plate":
+        exact, forcing = _plate_family_discrete(grid) if discrete else _plate_family()
+        eta1, eta2 = (BeamField(grid, e, clamped=True) for e in exact(0.0, grid.x))
+        for n in range(n_steps):
+            eta1, eta2 = step_plate(eta1, eta2, BeamField(grid, forcing((n + 1) * dt, grid.x)), dt)
+        return eta1.values, lambda t: exact(t, grid.x)[0]
+    identity, ones = _identity_metric(grid), np.ones(grid.shape)
+    if stepper == "heat":
+        exact, forcing = _heat_family(params)
+        step = TemperatureStepper(grid, (identity, ones, identity), ones, params, dt).step
+        zero_g = np.zeros(grid.shape)
+        advance = lambda th, f: step(th, f, zero_g)
+    else:
+        exact, forcing = _velocity_family(params)
+        step = VelocityStepper(grid, (identity, ones, identity), ones, params, dt).step
+        zero_e2 = np.zeros(grid.nx + 1)
+        advance = lambda v, f: step(v, zero_e2, f)
+    u = exact(0.0, grid.xx, grid.yy)
     for n in range(n_steps):
-        t1 = (n + 1) * dt
-        th = stepper.step(th, forcing(t1, grid.xx, grid.yy), zero_g)
-    return th
-
-
-def _march_velocity(grid, params, dt, n_steps, exact, forcing):
-    identity = _identity_metric(grid)
-    ones = np.ones(grid.shape)
-    stepper = VelocityStepper(grid, (identity, ones, identity), ones, params, dt)
-    v = exact(0.0, grid.xx, grid.yy)
-    zero_e2 = np.zeros(grid.nx + 1)
-    for n in range(n_steps):
-        t1 = (n + 1) * dt
-        v = stepper.step(v, zero_e2, forcing(t1, grid.xx, grid.yy))
-    return v
-
-
-def _march_plate(grid, dt, n_steps, exact, forcing):
-    e1, e2 = exact(0.0, grid.x)
-    eta1 = BeamField(grid, e1, clamped=True)
-    eta2 = BeamField(grid, e2, clamped=True)
-    for n in range(n_steps):
-        t1 = (n + 1) * dt
-        eta1, eta2 = step_plate(eta1, eta2, BeamField(grid, forcing(t1, grid.x)), dt)
-    return eta1
+        u = advance(u, forcing((n + 1) * dt, grid.xx, grid.yy))
+    return u, lambda t: exact(t, grid.xx, grid.yy)
 
 
 def manufactured_convergence(stepper: str, family: str, resolutions, mode: str = "spatial", params: PhysParams | None = None) -> ConvergenceReport:
@@ -706,65 +702,27 @@ def manufactured_convergence(stepper: str, family: str, resolutions, mode: str =
     spatial target. Temporal mode fixes the grid and compares Richardson
     differences between successive step counts.
     """
-    from .core_grid import build_grid
-
+    if mode not in ("spatial", "temporal"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if stepper not in ("heat", "velocity", "plate"):
+        raise ConfigError(f"unknown stepper id {stepper!r}")
     params = params or PhysParams()
     T = 0.05
     resolutions = tuple(int(r) for r in resolutions)
-    errors = []
     if mode == "spatial":
-        n0 = resolutions[0]
-        steps0 = 16
+        errors = []
         for n in resolutions:
-            grid = build_grid(1.0, 1.0, n, n)
-            n_steps = int(round(steps0 * (n / n0) ** 2))
-            dt = T / n_steps
-            if stepper == "heat":
-                exact, forcing = _heat_family(params)
-                got = _march_heat(grid, params, dt, n_steps, exact, forcing)
-                err = np.max(np.abs(got - exact(T, grid.xx, grid.yy)))
-            elif stepper == "velocity":
-                exact, forcing = _velocity_family(params)
-                got = _march_velocity(grid, params, dt, n_steps, exact, forcing)
-                err = np.max(np.abs(got - exact(T, grid.xx, grid.yy)))
-            elif stepper == "plate":
-                exact, forcing = _plate_family()
-                got = _march_plate(grid, dt, n_steps, exact, forcing)
-                err = np.max(np.abs(got.values - exact(T, grid.x)[0]))
-            else:
-                raise ConfigError(f"unknown stepper id {stepper!r}")
-            errors.append(float(err))
-        orders = tuple(
-            float(np.log(errors[i] / errors[i + 1]) / np.log(resolutions[i + 1] / resolutions[i]))
-            for i in range(len(errors) - 1)
-        )
-    elif mode == "temporal":
-        grid = build_grid(1.0, 1.0, 32, 32)
-        sols = []
-        for r in resolutions:
-            dt = T / r
-            if stepper == "plate":
-                # forcing built from the matrix stencils so the sampled
-                # polynomial solves the semi-discrete system exactly and
-                # the differences isolate the time-integration error
-                exact, forcing = _plate_family_discrete(grid)
-                got = _march_plate(grid, dt, r, exact, forcing)
-                sols.append(got.values)
-            elif stepper == "heat":
-                exact, forcing = _heat_family(params)
-                sols.append(_march_heat(grid, params, dt, r, exact, forcing))
-            elif stepper == "velocity":
-                exact, forcing = _velocity_family(params)
-                sols.append(_march_velocity(grid, params, dt, r, exact, forcing))
-            else:
-                raise ConfigError(f"unknown stepper id {stepper!r}")
-        for i in range(len(sols) - 1):
-            errors.append(float(np.max(np.abs(sols[i] - sols[i + 1]))))
-        orders = tuple(
-            float(np.log(errors[i] / errors[i + 1]) / np.log(resolutions[i + 1] / resolutions[i]))
-            for i in range(len(errors) - 1)
-        )
-        resolutions = resolutions[:-1]
+            n_steps = int(round(16 * (n / resolutions[0]) ** 2))
+            got, exact = _march_family(stepper, build_grid(1.0, 1.0, n, n), params, T / n_steps, n_steps, False)
+            errors.append(float(np.max(np.abs(got - exact(T)))))
     else:
-        raise ConfigError(f"unknown mode {mode!r}")
+        grid = build_grid(1.0, 1.0, 32, 32)
+        sols = [_march_family(stepper, grid, params, T / r, r, True)[0] for r in resolutions]
+        errors = [float(np.max(np.abs(a - b))) for a, b in zip(sols, sols[1:])]
+    orders = tuple(
+        float(np.log(errors[i] / errors[i + 1]) / np.log(resolutions[i + 1] / resolutions[i]))
+        for i in range(len(errors) - 1)
+    )
+    if mode == "temporal":
+        resolutions = resolutions[:-1]
     return ConvergenceReport(stepper, family, mode, resolutions, tuple(errors), orders)

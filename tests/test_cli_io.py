@@ -504,6 +504,23 @@ def test_cli_invalid_override_exits_2(tmp_path):
     assert "alpha + 2*mu/3" in err
 
 
+@pytest.mark.parametrize(
+    "command, override, named",
+    [
+        ("spectrum", "L=inf", "positive and finite, got L=inf"),
+        ("spectrum", "mu=inf", "mu must be positive and finite, got inf"),
+        ("sector", "rho_bar=inf", "rho_bar must be positive and finite, got inf"),
+    ],
+)
+def test_cli_infinite_input_exits_2_and_names_the_key(tmp_path, command, override, named):
+    argv = [command, "--out", str(tmp_path / "r"), "--override", "nx=8", "--override", override]
+    if command == "sector":
+        argv += ["--override", "beta=1"]
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert named in err
+
+
 def test_cli_missing_config_file_exits_2(tmp_path):
     rc, _, err = run_cli(["run", "--config", str(tmp_path / "ghost.cfg")])
     assert rc == 2 and "not found" in err

@@ -46,7 +46,9 @@ def test_beam_alignment_bit_exact():
     assert g.yy[3, -1] == 0.0
 
 
-@pytest.mark.parametrize("bad", [(0.0, 1, 8, 8), (1, -2, 8, 8), (1, 1, 3, 8), (1, 1, 8, 2)])
+@pytest.mark.parametrize(
+    "bad", [(0.0, 1, 8, 8), (1, -2, 8, 8), (1, 1, 3, 8), (1, 1, 8, 2), (np.inf, 1, 8, 8), (1, np.inf, 8, 8)]
+)
 def test_build_grid_rejects(bad):
     with pytest.raises(ConfigError):
         build_grid(*bad)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab import fixed_point as fp
+from fsilab import linear_subsystems as ls
 from fsilab.chgvar import build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
 from fsilab.core_grid import (
     BeamField,
@@ -27,7 +32,9 @@ from fsilab.fixed_point import (
     run_local,
     state_norm,
 )
+from fsilab.fs_operator import assemble_coupled
 from fsilab.linear_subsystems import SourceBundle, default_params, plate_energy
+from fsilab.mirror import MirrorBlocks
 from fsilab.nonlinear_sources import FullState
 
 
@@ -658,6 +665,76 @@ def test_global_march_solves_one_column_per_step(monkeypatch):
     march_global(global_bump_state(g, params), cfg, params, bundle=forcing_bundle(g, cfg))
     assert len(shapes) == cfg.nt - 1
     assert all(len(s) == 1 for s in shapes)
+
+
+# ------------------------------------------------------- mirror-coordinate march
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_mirror_march_equals_full_matrix_march(n, monkeypatch):
+    g = unit_grid(n)
+    params = default_params()
+    cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
+    st0 = global_bump_state(g, params)
+    got = stacked_fields(march_global(st0, cfg, params, bundle=forcing_bundle(g, cfg)))
+    # reference: one identity block (no layout, so no mirror) and SuperLU's
+    # default ordering on the full I/dt - A
+    monkeypatch.setattr(fp, "MirrorBlocks", lambda op: MirrorBlocks(dataclasses.replace(op, layout=None)))
+    monkeypatch.setattr(fp, "_splu", lambda mat, what: spla.splu(mat.tocsc()))
+    ref = stacked_fields(march_global(st0, cfg, params, bundle=forcing_bundle(g, cfg)))
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_coupled_march_factor_fill_is_under_six_tenths_of_the_full_matrix():
+    g = unit_grid(16)
+    params = default_params()
+    cfg = IterationConfig(T=0.1, dt=0.01, beta=0.1)
+    eng = fp._GlobalEngine(global_bump_state(g, params), cfg, params)
+    assert len(eng.mirror.bases) == 2
+    op = assemble_coupled(g, params)
+    full = spla.splu((sp.identity(op.shape[0], format="csc") / cfg.dt - op.matrix).tocsc())
+    assert eng.lu.L.nnz + eng.lu.U.nnz <= 0.6 * (full.L.nnz + full.U.nnz)
+
+
+def test_every_march_factor_solves_to_round_off(monkeypatch):
+    factors = []
+    splu = ls._splu
+
+    def recording(mat, what):
+        lu = splu(mat, what)
+        factors.append((what, mat, lu))
+        return lu
+
+    monkeypatch.setattr(fp, "_splu", recording)
+    monkeypatch.setattr(ls, "_splu", recording)
+    g = unit_grid(16)
+    params = default_params()
+    fp._GlobalEngine(global_bump_state(g, params), IterationConfig(T=0.1, dt=0.01, beta=0.1), params)
+    fp._LocalEngine(local_bump_state(g, a=0.05), IterationConfig(T=0.1, dt=0.01), params)
+    assert sorted(what for what, _, _ in factors) == ["coupled march", "temperature", "temperature", "velocity"]
+    rng = np.random.default_rng(8)
+    for what, mat, lu in factors:
+        b = rng.standard_normal(mat.shape[0])
+        assert np.linalg.norm(mat @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b), what
+
+
+def test_mirror_blocks_split_and_lift_whole_stacks():
+    g = unit_grid(8)
+    params = default_params()
+    op = assemble_coupled(g, params)
+    mirror = MirrorBlocks(op)
+    M = (sp.identity(op.shape[0], format="csr") / 0.01 - op.matrix).tocsr()
+    X = np.random.default_rng(4).standard_normal((6, op.shape[0]))
+    Y = mirror.split(X)
+    back = mirror.lift(Y)
+    assert Y.flags.c_contiguous and back.flags.c_contiguous
+    assert np.max(np.abs(back - X)) <= 4e-16 * np.max(np.abs(X))
+    # the block-diagonal matrix acts on block coordinates as M acts on states
+    BD = mirror.block_diagonal(M)
+    MX = (M @ X.T).T
+    assert np.max(np.abs(BD @ Y[2] - mirror.split(MX[2]))) <= 1e-12 * np.max(np.abs(MX))
+    assert np.max(np.abs(mirror.lift((BD @ Y.T).T) - MX)) <= 1e-12 * np.max(np.abs(MX))
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])

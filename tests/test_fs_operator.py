@@ -9,11 +9,10 @@ from fsilab.core_grid import build_grid, diff_ops
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.linear_subsystems import default_params, plate_operator
 import fsilab.fs_operator as fs_operator
+from fsilab.mirror import MirrorBlocks, _reflection
 from fsilab.fs_operator import (
     OperatorMatrix,
     _gram_maps,
-    _invariant_bases,
-    _reflection,
     _splu,
     _weight_gram,
     assemble_block,
@@ -349,7 +348,7 @@ def test_reflection_is_an_involution_on_the_layout(H, nx, ny):
 @pytest.mark.parametrize("H, nx, ny", MIRROR_GRIDS)
 def test_split_spectrum_equals_dense_eigenvalues(H, nx, ny, restrict):
     op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
-    bases = _invariant_bases(op)
+    bases = MirrorBlocks(op).bases
     assert len(bases) == 2
     assert sum(rows.size for rows, _ in bases) == op.shape[0]
     ref = _dense_spectrum(op.matrix, restrict)
@@ -365,21 +364,21 @@ def test_kernel_eigenvalues_lie_in_the_even_block():
     assert np.abs(sign[:, None] * kern[perm] - kern).max() < 1e-12 * np.abs(kern).max()
     small = [
         np.sum(np.abs(la.eigvals((op.matrix[rows] @ basis).toarray())) < 1e-8)
-        for rows, basis in _invariant_bases(op)
+        for rows, basis in MirrorBlocks(op).bases
     ]
     assert small == [2, 0]
 
 
 def test_broken_mirror_symmetry_falls_back_to_one_block():
     op = _bumped(coupled(8))
-    assert len(_invariant_bases(op)) == 1
+    assert len(MirrorBlocks(op).bases) == 1
     for restrict in ("full", "mean_zero"):
         ref = _dense_spectrum(op.matrix, restrict)
         vals = spectrum(op, restrict=restrict)
         assert vals.size == ref.size
         assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
     grid = unit_grid(8)
-    assert len(_invariant_bases(assemble_block(grid, default_params(), "plate"))) == 1
+    assert len(MirrorBlocks(assemble_block(grid, default_params(), "plate")).bases) == 1
 
 
 @pytest.mark.parametrize("case", ["nx7", "nx8", "bumped"])

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsilab.chgvar import build_diffeo
 from fsilab.core_grid import BeamField, FluidField, build_grid, diff_ops
 from fsilab.errors import ConfigError
 from fsilab.linear_subsystems import (
     PhysParams,
+    _masks,
+    _viscous_operator,
     SourceBundle,
     TemperatureStepper,
     VelocityStepper,
@@ -62,6 +67,10 @@ def test_params_kappa_bar():
         {"R0": -2.0},
         {"rho_bar": 0.0},
         {"theta_bar": -1.0},
+        {"mu": np.inf},
+        {"rho_bar": np.inf},
+        {"alpha": np.inf},
+        {"pi0": -np.inf},
     ],
 )
 def test_params_validation(kw):
@@ -410,6 +419,56 @@ def test_lift_requires_global_mode():
     e2 = BeamField(g, np.zeros(g.nx + 1), clamped=True)
     with pytest.raises(ConfigError):
         solve_lift_Dv(e2, PhysParams(pi0=0.0))
+
+
+def pinned_row_solve(g, L, shift, rhs, e2):
+    """Reference Dirichlet solve on every node: interior rows of shift - L,
+    boundary rows of the identity carrying the pinned values."""
+    N = g.n_nodes
+    interior, top = _masks(g)
+    int2 = np.concatenate([interior, interior])
+    M = sp.diags(int2.astype(float)) @ (shift * sp.eye(2 * N) - L) + sp.diags((~int2).astype(float))
+    b = np.where(int2, np.concatenate([rhs[..., 0].ravel(), rhs[..., 1].ravel()]), 0.0)
+    b[N + np.flatnonzero(top)] = e2[1:-1]
+    sol = spla.spsolve(M.tocsc(), b)
+    return np.stack([sol[:N].reshape(g.shape), sol[N:].reshape(g.shape)], axis=-1)
+
+
+def test_lift_equals_pinned_row_solve():
+    g = unit_grid(16)
+    p = PhysParams(alpha=0.2, pi0=-1.0)
+    e2 = BeamField(g, np.sin(np.pi * g.x) + 0.3 * g.x**2 * (1 - g.x) ** 2, clamped=True)
+    L = _viscous_operator(g, identity_metrics(g), p) / p.rho_bar
+    ref = pinned_row_solve(g, L, 0.0, np.zeros(g.shape + (2,)), e2.values)
+    w = solve_lift_Dv(e2, p)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def bent_metrics(g):
+    """Metric triplet of a smooth non-affine map with Jacobian near one."""
+    X = np.stack([g.xx + 0.05 * np.sin(np.pi * g.xx) * g.yy, g.yy + 0.04 * np.sin(np.pi * g.xx) * np.cos(np.pi * g.yy)], axis=-1)
+    m = build_diffeo(g, X)
+    return m.B, m.delta, m.A
+
+
+def test_interior_velocity_step_equals_pinned_row_step():
+    g = unit_grid(12)
+    mets = bent_metrics(g)
+    rng = np.random.default_rng(11)
+    rho0 = 1.0 + 0.2 * np.cos(np.pi * g.xx) * np.cos(np.pi * g.yy)
+    p = PhysParams(alpha=0.4)
+    dt = 0.02
+    v = rng.standard_normal(g.shape + (2,))
+    f2 = rng.standard_normal(g.shape + (2,))
+    e2 = BeamField(g, 0.7 * np.sin(np.pi * g.x), clamped=True)
+    out = VelocityStepper(g, mets, rho0, p, dt).step(v, e2, f2)
+    L = sp.diags(np.tile(1.0 / (rho0 * mets[1]).ravel(), 2)) @ _viscous_operator(g, mets, p)
+    ref = pinned_row_solve(g, L, 1.0 / dt, v / dt + f2, e2.values)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the boundary values are set, not solved for
+    assert np.array_equal(out[1:-1, -1, 1], e2.values[1:-1])
+    assert not np.any(out[1:-1, -1, 0])
+    assert not np.any(out[0]) and not np.any(out[-1]) and not np.any(out[:, 0])
 
 
 # ---------------------------------------------------------------- cascade structure
