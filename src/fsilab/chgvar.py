@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_grid import BeamField, Grid2D, _cumtrapz, diff_ops
+from .core_grid import BeamField, Grid2D, _cumtrapz
 from .errors import ConfigError, DiffeoFailure, GeometryError
 
 __all__ = [
@@ -156,7 +156,7 @@ class DiffeoCertificate:
 
 def map_gradient(grid: Grid2D, X: np.ndarray) -> np.ndarray:
     """Centered-difference Jacobian of map samples, one-sided at edges."""
-    return diff_ops(grid).grad_vector(X)
+    return grid.ops.grad_vector(X)
 
 
 def _cof2(g: np.ndarray) -> np.ndarray:

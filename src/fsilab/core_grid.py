@@ -16,18 +16,22 @@ for bit. The top-edge interior nodes form the moving boundary; the
 bottom and side edges (corners included) form the fixed boundary.
 
 Derivatives are second-order centered stencils inside the domain and
-second-order one-sided stencils on the edges. Norms are trapezoid
-quadrature of |f|^q plus difference-quotient derivative terms up to the
-requested order.
+second-order one-sided stencils on the edges. The grid owns its
+stencils: `grid.ops` is built once per grid object and holds the
+applicators, their sparse matrices and the beam matrices, so they live
+exactly as long as the grid and no table keyed by grid value outlives
+a run. Norms are trapezoid quadrature of |f|^q plus difference-quotient
+derivative terms up to the requested order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
 
@@ -38,7 +42,6 @@ __all__ = [
     "NormSpec",
     "DiffOps",
     "build_grid",
-    "diff_ops",
     "discrete_norm",
     "weighted_time_norm",
     "integrate_fluid",
@@ -129,6 +132,11 @@ class Grid2D:
     def beam_weights(self) -> np.ndarray:
         """Trapezoid weights on the beam nodes; they sum to L."""
         return _trapezoid_widths(self.nx + 1, self.hx)
+
+    @cached_property
+    def ops(self) -> "DiffOps":
+        """The grid's stencils, built once for this grid object."""
+        return DiffOps(self)
 
 
 def _trapezoid_widths(n_nodes: int, h: float) -> np.ndarray:
@@ -239,6 +247,28 @@ def _d1(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.gradient(f, h, axis=axis, edge_order=2)
 
 
+def _stencil_matrix(n: int, inner, ends=()) -> sp.csr_matrix:
+    """n x n matrix with the stencil `inner`, (offset, value) pairs, on rows
+    1 .. n-2 and the (row, col, value) entries `ends`; negative rows and
+    columns count from the end."""
+    i = np.arange(1, n - 1)
+    rows = np.concatenate([np.tile(i, len(inner)), [r % n for r, _, _ in ends]])
+    cols = np.concatenate([i + o for o, _ in inner] + [[c % n for _, c, _ in ends]])
+    vals = np.concatenate([np.full(n - 2, v) for _, v in inner] + [[v for _, _, v in ends]])
+    return sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
+
+
+def _d1_matrix(n_nodes: int, h: float) -> sp.csr_matrix:
+    """Matrix of _d1 along one axis: centered rows inside, second-order
+    one-sided rows at both ends."""
+    return _stencil_matrix(
+        n_nodes,
+        [(-1, -0.5 / h), (1, 0.5 / h)],
+        [(0, 0, -1.5 / h), (0, 1, 2.0 / h), (0, 2, -0.5 / h),
+         (-1, -1, 1.5 / h), (-1, -2, -2.0 / h), (-1, -3, 0.5 / h)],
+    )
+
+
 def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order second derivative, one-sided 4-point at the edges."""
     f = np.moveaxis(f, axis, 0)
@@ -251,7 +281,7 @@ def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffOps:
-    """Stencil applicators for one grid.
+    """Stencil applicators for one grid, with the sparse forms of dx and dy.
 
     Fluid operators act on node arrays, beam operators on top-edge arrays.
     The stencils address the x and y axes from the end (axes -2 and -1,
@@ -279,6 +309,16 @@ class DiffOps:
 
     def dxy(self, f: np.ndarray) -> np.ndarray:
         return self.dy(self.dx(f))
+
+    @cached_property
+    def Dx(self) -> sp.csr_matrix:
+        """Sparse form of dx on raveled node arrays."""
+        return sp.kron(_d1_matrix(self.grid.nx + 1, self.grid.hx), sp.eye(self.grid.ny + 1), format="csr")
+
+    @cached_property
+    def Dy(self) -> sp.csr_matrix:
+        """Sparse form of dy on raveled node arrays."""
+        return sp.kron(sp.eye(self.grid.nx + 1), _d1_matrix(self.grid.ny + 1, self.grid.hy), format="csr")
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         """Gradient of a scalar field, shape (..., 2)."""
@@ -358,11 +398,6 @@ class DiffOps:
         return m / self.grid.hx**4
 
 
-@lru_cache(maxsize=None)
-def diff_ops(grid: Grid2D) -> DiffOps:
-    return DiffOps(grid)
-
-
 def _per_sample(x):
     """A plain float for one sample, the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
@@ -429,7 +464,7 @@ def discrete_norm(field: FluidField | BeamField, spec: NormSpec):
     spec.k over the trapezoid weights, then takes the 1/q power. With
     q infinite, takes the max over nodes and derivative terms instead.
     """
-    ops = diff_ops(field.grid)
+    ops = field.grid.ops
     if isinstance(field, BeamField):
         terms = _beam_terms(ops, field.values, spec.k)
         w, axes = field.grid.beam_weights, -1

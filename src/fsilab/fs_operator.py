@@ -50,15 +50,13 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core_grid import BeamField, FluidField, Grid2D, diff_ops
+from .core_grid import BeamField, FluidField, Grid2D, _stencil_matrix
 from .errors import ConfigError, NumericsError
 from .linear_subsystems import (
     PhysParams,
-    _d1_matrix,
     _fv_diffusion,
     _identity_metric,
     _splu,
-    _stencil_matrix,
     plate_operator,
 )
 from .mirror import MirrorBlocks
@@ -287,9 +285,7 @@ def _grid_operators(grid: Grid2D):
     dy_sbp = sp.kron(ix, _sbp_first_diff(ny1, grid.hy), format="csr")
     dxx = sp.kron(_second_diff_interior(nx1, grid.hx), iy, format="csr")
     dyy = sp.kron(ix, _second_diff_interior(ny1, grid.hy), format="csr")
-    dx_os = sp.kron(_d1_matrix(nx1, grid.hx), iy, format="csr")
-    dy_os = sp.kron(ix, _d1_matrix(ny1, grid.hy), format="csr")
-    dxy = (dx_os @ dy_os).tocsr()
+    dxy = (grid.ops.Dx @ grid.ops.Dy).tocsr()
     return dx_sbp, dy_sbp, dxx, dyy, dxy
 
 
@@ -344,7 +340,6 @@ def assemble_coupled(
     sel, top, trace = _selection(layout)
     dx_sbp, dy_sbp, dxx, dyy, dxy = _grid_operators(grid)
     fv, _ = _fv_diffusion(grid, _identity_metric(grid))
-    ops = diff_ops(grid)
 
     rho_bar = params.rho_bar
     mu = params.mu
@@ -378,10 +373,8 @@ def assemble_coupled(
         blocks[TH][TH] = params.kappa_bar * fv
 
         blocks[E1][E2] = sp.identity(m, format="csr")
-        bih = sp.csr_matrix(ops.bih_clamped)
-        lap_s = sp.csr_matrix(ops.lap_s)
-        blocks[E2][E1] = -bih
-        blocks[E2][E2] = lap_s
+        blocks[E2][E1] = -sp.csr_matrix(grid.ops.bih_clamped)
+        blocks[E2][E2] = sp.csr_matrix(grid.ops.lap_s)
 
     if want_bounded:
         # pressure gradients in the momentum rows
@@ -486,8 +479,7 @@ def kernel_vectors(layout: BlockLayout, params: PhysParams) -> np.ndarray:
     balances the resulting uniform surface pressure.
     """
     grid = layout.grid
-    ops = diff_ops(grid)
-    w = la.solve(ops.bih_clamped, np.ones(layout.n_beam))
+    w = la.solve(grid.ops.bih_clamped, np.ones(layout.n_beam))
     k1 = np.zeros(layout.total)
     k2 = np.zeros(layout.total)
     k1[layout.sl_rho] = 1.0
@@ -628,7 +620,6 @@ def energy_rate(op: OperatorMatrix, vec: np.ndarray) -> float:
         raise ConfigError("energy rate needs a coupled operator with a layout")
     layout, params = op.layout, op.params
     grid = layout.grid
-    ops = diff_ops(grid)
     x = np.asarray(vec)
     ax = op.matrix @ x
     w_nodes = grid.weights.ravel()
@@ -643,8 +634,7 @@ def energy_rate(op: OperatorMatrix, vec: np.ndarray) -> float:
     total += params.rho_bar * pair(ax[layout.sl_vx], x[layout.sl_vx], w_int)
     total += params.rho_bar * pair(ax[layout.sl_vy], x[layout.sl_vy], w_int)
     total += pair(ax[layout.sl_eta2], x[layout.sl_eta2], w_beam)
-    bih = ops.bih_clamped
-    total += pair(bih @ ax[layout.sl_eta1], x[layout.sl_eta1], w_beam)
+    total += pair(grid.ops.bih_clamped @ ax[layout.sl_eta1], x[layout.sl_eta1], w_beam)
     return total
 
 
@@ -716,10 +706,9 @@ def _resolvent_zero_coupled(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
 
     # beam deflection: bending matrix plus the rank-one coupling through
     # the mean density the deflection itself displaces
-    ops = diff_ops(grid)
     w_beam = grid.beam_weights[1:-1]
     gain = params.R0 * params.theta_bar * params.rho_bar / grid.area
-    plate = ops.bih_clamped + gain * np.outer(np.ones(layout.n_beam), w_beam)
+    plate = grid.ops.bih_clamped + gain * np.outer(np.ones(layout.n_beam), w_beam)
     rhs_plate = h2 - (
         B[sl2, slv] @ v
         + B[sl2, slr] @ rho_m
@@ -807,7 +796,7 @@ def _weight_gram(op: OperatorMatrix, rho_norm: str) -> sp.csr_matrix:
 
     def bending(grid):
         h = grid.beam_weights[1]
-        return sp.csr_matrix(h * diff_ops(grid).bih_clamped)
+        return sp.csr_matrix(h * grid.ops.bih_clamped)
 
     if op.layout is not None:
         layout = op.layout

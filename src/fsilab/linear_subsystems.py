@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chgvar import DiffeoMap
-from .core_grid import BeamField, FluidField, Grid2D, _per_sample, _trapezoid_widths, beam_embed, build_grid, diff_ops
+from .core_grid import BeamField, FluidField, Grid2D, _per_sample, _trapezoid_widths, beam_embed, build_grid
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -185,27 +184,14 @@ def _field_values(f, grid, kind="scalar"):
 # ------------------------------------------------------------------ plate
 
 
-@lru_cache(maxsize=None)
-def _plate_blocks(grid: Grid2D):
-    ops = diff_ops(grid)
-    return ops.bih_clamped, ops.lap_s
-
-
 def plate_operator(grid: Grid2D) -> np.ndarray:
     """First-order beam operator on interior nodes: d/dt (e1, e2) = A (e1, e2)."""
-    bih, lap = _plate_blocks(grid)
     m = grid.nx - 1
     A = np.zeros((2 * m, 2 * m))
     A[:m, m:] = np.eye(m)
-    A[m:, :m] = -bih
-    A[m:, m:] = lap
+    A[m:, :m] = -grid.ops.bih_clamped
+    A[m:, m:] = grid.ops.lap_s
     return A
-
-
-@lru_cache(maxsize=None)
-def _plate_factor(grid: Grid2D, dt: float):
-    A = plate_operator(grid)
-    return scipy.linalg.lu_factor(np.eye(A.shape[0]) - dt * A)
 
 
 def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
@@ -218,7 +204,7 @@ def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
     sample alone: batched products round differently.
     """
     grid = eta1.grid
-    bih, _ = _plate_blocks(grid)
+    bih = grid.ops.bih_clamped
     e1 = eta1.values[..., 1:-1].reshape(-1, grid.nx - 1)
     e2 = eta2.values[..., 1:-1].reshape(-1, grid.nx - 1)
     energy = [0.5 * grid.hx * (b @ b + a @ (bih @ a)) for a, b in zip(e1, e2)]
@@ -226,7 +212,11 @@ def plate_energy(eta1: BeamField, eta2: BeamField) -> float | np.ndarray:
 
 
 def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float):
-    """One backward Euler step of the damped clamped beam in first-order form."""
+    """One backward Euler step of the damped clamped beam in first-order form.
+
+    The dense factor of I - dt A is rebuilt on every call: it is small,
+    and nothing outlives the step.
+    """
     grid = eta1.grid
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
@@ -234,7 +224,8 @@ def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float):
     x = np.concatenate([eta1.values[1:-1], eta2.values[1:-1]])
     src = np.concatenate([np.zeros(m), h_src.values[1:-1]])
     try:
-        xn = scipy.linalg.lu_solve(_plate_factor(grid, float(dt)), x + dt * src)
+        factor = scipy.linalg.lu_factor(np.eye(2 * m) - dt * plate_operator(grid))
+        xn = scipy.linalg.lu_solve(factor, x + dt * src)
     except scipy.linalg.LinAlgError as e:  # pragma: no cover
         raise NumericsError(f"plate solve failed: {e}") from e
     if not np.all(np.isfinite(xn)):
@@ -246,37 +237,6 @@ def step_plate(eta1: BeamField, eta2: BeamField, h_src: BeamField, dt: float):
 
 
 # ------------------------------------------------------------------ sparse assembly
-
-
-def _stencil_matrix(n: int, inner, ends=()) -> sp.csr_matrix:
-    """n x n matrix with the stencil `inner`, (offset, value) pairs, on rows
-    1 .. n-2 and the (row, col, value) entries `ends`; negative rows and
-    columns count from the end."""
-    i = np.arange(1, n - 1)
-    rows = np.concatenate([np.tile(i, len(inner)), [r % n for r, _, _ in ends]])
-    cols = np.concatenate([i + o for o, _ in inner] + [[c % n for _, c, _ in ends]])
-    vals = np.concatenate([np.full(n - 2, v) for _, v in inner] + [[v for _, _, v in ends]])
-    return sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
-
-
-@lru_cache(maxsize=None)
-def _d1_matrix(n_nodes: int, h: float) -> sp.csr_matrix:
-    # centered rows inside, second-order one-sided rows at both ends
-    return _stencil_matrix(
-        n_nodes,
-        [(-1, -0.5 / h), (1, 0.5 / h)],
-        [(0, 0, -1.5 / h), (0, 1, 2.0 / h), (0, 2, -0.5 / h),
-         (-1, -1, 1.5 / h), (-1, -2, -2.0 / h), (-1, -3, 0.5 / h)],
-    )
-
-
-@lru_cache(maxsize=None)
-def _dx_dy_matrices(grid: Grid2D):
-    dx1 = _d1_matrix(grid.nx + 1, grid.hx)
-    dy1 = _d1_matrix(grid.ny + 1, grid.hy)
-    Dx = sp.kron(dx1, sp.eye(grid.ny + 1), format="csr")
-    Dy = sp.kron(sp.eye(grid.nx + 1), dy1, format="csr")
-    return Dx, Dy
 
 
 def _flux_second_difference(grid: Grid2D, a: np.ndarray, axis: int) -> sp.csr_matrix:
@@ -309,7 +269,7 @@ def _aniso_diffusion(grid: Grid2D, K: np.ndarray) -> sp.csr_matrix:
     nodes are incomplete by construction and must be overwritten by
     whatever constraint the caller imposes there.
     """
-    Dx, Dy = _dx_dy_matrices(grid)
+    Dx, Dy = grid.ops.Dx, grid.ops.Dy
     m = _flux_second_difference(grid, K[..., 0, 0], 0)
     m = m + _flux_second_difference(grid, K[..., 1, 1], 1)
     m = m + Dx @ sp.diags(K[..., 0, 1].ravel()) @ Dy
@@ -356,7 +316,7 @@ def _fv_diffusion(grid: Grid2D, K: np.ndarray):
     nxp, nyp = grid.shape
     N = grid.n_nodes
     hx, hy = grid.hx, grid.hy
-    Dx, Dy = _dx_dy_matrices(grid)
+    Dx, Dy = grid.ops.Dx, grid.ops.Dy
     idx = np.arange(N).reshape(nxp, nyp)
     wx, wy = _trapezoid_widths(nxp, hx), _trapezoid_widths(nyp, hy)
     box = grid.weights
@@ -406,11 +366,6 @@ def _fv_diffusion(grid: Grid2D, K: np.ndarray):
     return op, boundary_len / box
 
 
-@lru_cache(maxsize=None)
-def _masks(grid: Grid2D):
-    return grid.mask_interior.ravel(), grid.mask_top.ravel()
-
-
 def _frozen_coefficients(grid: Grid2D, X0metrics, rho0, dt: float):
     """Metric triplet and density nodes a frozen-coefficient stepper is built on."""
     if not dt > 0:
@@ -453,11 +408,11 @@ class _PinnedVelocity:
     the boundary values are exact by construction."""
 
     def __init__(self, grid: Grid2D, L: sp.spmatrix, shift: float, what: str):
-        interior, top = _masks(grid)
+        interior = grid.mask_interior.ravel()
         self.grid = grid
         self.what = what
         self._inner = np.flatnonzero(np.concatenate([interior, interior]))
-        self._trace = grid.n_nodes + np.flatnonzero(top)
+        self._trace = grid.n_nodes + np.flatnonzero(grid.mask_top)
         rows = L.tocsr()[self._inner]
         self._carry = rows[:, self._trace].tocsr()
         self._lu = _splu(shift * sp.eye(self._inner.size) - rows[:, self._inner], what)
@@ -554,7 +509,7 @@ def step_density(rho, v, f1, X0metrics, rho0, dt, v_prev=None, f1_prev=None) -> 
         raise ConfigError("rho must be a FluidField so the grid is known")
     B0, delta0, _ = _as_metrics(X0metrics)
     r0 = _field_values(rho0, grid)
-    ops = diff_ops(grid)
+    ops = grid.ops
 
     def rate(vv, ff):
         gv = ops.grad_vector(_field_values(vv, grid, "vector"))
@@ -652,7 +607,7 @@ def _plate_family():
 def _plate_family_discrete(grid):
     # same polynomial, but forced so its samples solve the spatially
     # discretized plate system exactly at every time
-    ops = diff_ops(grid)
+    ops = grid.ops
     P = grid.x**2 * (1 - grid.x) ** 2
     h_nodes = beam_embed(grid, P[1:-1] + ops.bih_clamped @ P[1:-1] + ops.lap_s @ P[1:-1])
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chgvar import _floor_failure
-from .core_grid import BeamField, FluidField, Grid2D, _per_sample, diff_ops, integrate_fluid
+from .core_grid import BeamField, FluidField, Grid2D, _per_sample, integrate_fluid
 from .errors import ConfigError, NumericsError
 from .linear_subsystems import PhysParams, _as_metrics, _identity_metric
 
@@ -185,7 +185,7 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
     other regime's 2 mu/delta.
     """
     grid = state.grid
-    ops = diff_ops(grid)
+    ops = grid.ops
     B0, d0, A0 = _as_metrics(X0metrics)
     BX, dX, AX = _as_metrics(map)
     _certify(dX)
@@ -251,7 +251,7 @@ def _global_density_source(state: FullState, map, params: PhysParams):
     """(F1, grad v, B/delta - I): eval_global_sources' density source, bit
     for bit and behind the same checks, with the pieces the others reuse."""
     params.require_global()
-    ops = diff_ops(state.grid)
+    ops = state.grid.ops
     BX, dX, _ = _as_metrics(map)
     _certify(dX)
     rho = state.rho.values
@@ -288,7 +288,7 @@ def eval_global_sources(
     """
     F1, gv, metric_gap = _global_density_source(state, map, params)
     grid = state.grid
-    ops = diff_ops(grid)
+    ops = grid.ops
     BX, dX, AX = _as_metrics(map)
     eye = _identity_metric(grid)
     rho = state.rho.values
@@ -419,7 +419,7 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     if mode not in ("local", "global"):
         raise ConfigError(f"unknown compatibility mode {mode!r}")
     grid = initial.grid
-    ops = diff_ops(grid)
+    ops = grid.ops
     strength = 1.0 / p + 1.0 / (2.0 * q)
     lt_half = strength < 0.5
     h2 = max(grid.hx, grid.hy) ** 2

@@ -13,7 +13,7 @@ from fsilab.chgvar import (
     suggested_floor,
     update_map,
 )
-from fsilab.core_grid import BeamField, build_grid, diff_ops
+from fsilab.core_grid import BeamField, build_grid
 from fsilab.errors import ConfigError, DiffeoFailure, GeometryError
 
 I2 = np.eye(2)
@@ -113,7 +113,7 @@ def test_piola_row_divergence_vanishes():
     # that exact on the grid up to round-off, no refinement needed
     for n in (16, 64):
         g = unit_grid(n)
-        ops = diff_ops(g)
+        ops = g.ops
         X = identity_map(g)
         X[..., 0] += 0.1 * np.sin(np.pi * g.xx) * np.cos(np.pi * g.yy)
         X[..., 1] += 0.1 * np.cos(2 * g.xx) * g.yy**2
@@ -133,7 +133,7 @@ def test_metric_first_order_perturbation(eps, kx, ky):
         [np.sin(kx * g.xx) * np.cos(ky * g.yy), np.cos(kx * g.xx) * np.sin(ky * g.yy)],
         axis=-1,
     )
-    gradW = diff_ops(g).grad_vector(W)
+    gradW = g.ops.grad_vector(W)
     scale = np.max(np.abs(gradW))
     B, delta, A = metric_tensors(g, identity_map(g) + eps * W)
     dev = max(np.max(np.abs(B - I2)), np.max(np.abs(delta - 1.0)), np.max(np.abs(A - I2)))

@@ -63,6 +63,15 @@ def test_config_round_trip(text):
     assert parse_config(print_config(cfg)) == cfg
 
 
+def test_config_built_directly_round_trips():
+    cfg = RunConfig(mode="global", nx=12, mu=2.5, alpha=-0.5, beta=0.2, R=0.5, tol=1e-10, max_iters=7, out_dir="there")
+    assert parse_config(print_config(cfg)) == cfg
+
+
+def test_unset_ny_follows_nx_whether_built_or_parsed():
+    assert RunConfig(mode="spectrum", nx=32).ny == parse_config("mode = spectrum\nnx = 32\n").ny == 32
+
+
 def test_negative_bulk_viscosity_cited():
     with pytest.raises(ConfigError) as exc:
         parse_config("mode = local\nalpha = -1\nmu = 1\n")
@@ -284,8 +293,9 @@ def test_identical_config_and_seed_give_identical_csv(tmp_path):
         "mode = global\nnx = 8\nT = 0.5\ndt = 0.05\nbeta = 0.1\nscenario = beam-pluck\n",
         "mode = local\nnx = 8\nscenario = beam-pluck\n",
         "mode = sector\nnx = 8\nbeta = 2.356\n",
+        "mode = convergence\n",
     ],
-    ids=["spectrum", "global-pluck", "local-pluck", "sector"],
+    ids=["spectrum", "global-pluck", "local-pluck", "sector", "convergence"],
 )
 def test_two_runs_in_one_process_write_identical_artifacts(tmp_path, text):
     # every CSV and snapshot; report.txt holds the wall clock, config.txt the out_dir
@@ -377,6 +387,23 @@ def test_convergence_mode_orders(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["stepper", "mode", "resolution", "error", "order"]
     assert {r[0] for r in rows[1:]} == {"heat", "velocity", "plate"}
+
+
+@pytest.mark.parametrize(
+    "physical",
+    ["mu = 5\nkappa = 3\n", "mu = 0.2\nalpha = 1\nkappa = 0.3\nc_v = 2\n"],
+    ids=["stiff", "mixed"],
+)
+def test_convergence_mode_reads_the_physical_keys(tmp_path, physical):
+    def run(name, text):
+        report = run_scenario(parse_config(f"mode = convergence\n{text}out_dir = {tmp_path / name}\n"))
+        return report, (tmp_path / name / "convergence.csv").read_bytes()
+
+    report, table = run("set", physical)
+    _, default_table = run("default", "")
+    assert report.passed and len(report.checks) == 4
+    assert table != default_table
+    assert "does not read L, H, nx, ny, R0, pi0, rho_bar, theta_bar" in report.message
 
 
 def test_failed_run_still_writes_report(tmp_path):

@@ -11,7 +11,6 @@ from fsilab.core_grid import (
     NormSpec,
     beam_embed,
     build_grid,
-    diff_ops,
     discrete_norm,
     integrate_beam,
     integrate_fluid,
@@ -97,9 +96,22 @@ def test_beam_embed():
 # ---------------------------------------------------------------- stencils
 
 
+@pytest.mark.parametrize("L, nx, ny", [(1.0, 8, 8), (2.0, 9, 5)])
+def test_grid_owns_one_stencil(L, nx, ny):
+    g = build_grid(L, 1.0, nx, ny)
+    twin = build_grid(L, 1.0, nx, ny)
+    assert g.ops is g.ops
+    # equal grids, but each owns its own operators
+    assert twin == g and twin.ops is not g.ops
+    f = np.random.default_rng(3).standard_normal(g.shape)
+    for sparse, applied in ((g.ops.Dx, g.ops.dx(f)), (g.ops.Dy, g.ops.dy(f))):
+        gap = np.max(np.abs(sparse @ f.ravel() - applied.ravel()))
+        assert gap <= 1e-12 * np.max(np.abs(applied))
+
+
 def test_laplace_of_constant_is_zero():
     g = unit_grid(16)
-    ops = diff_ops(g)
+    ops = g.ops
     f = np.full(g.shape, 4.2)
     assert np.max(np.abs(ops.laplace(f))) < 1e-12
     assert np.max(np.abs(ops.dx(f))) < 1e-12
@@ -109,14 +121,14 @@ def test_laplace_of_constant_is_zero():
 
 def test_div_of_linear_field_is_exact():
     g = unit_grid(16)
-    ops = diff_ops(g)
+    ops = g.ops
     v = np.stack([g.xx, g.yy], axis=-1)
     assert np.max(np.abs(ops.div(v) - 2.0)) < 1e-12
 
 
 def test_grad_vector_layout():
     g = unit_grid(16)
-    ops = diff_ops(g)
+    ops = g.ops
     # v = (x + 2y, 3x + 4y) has constant Jacobian [[1, 2], [3, 4]]
     v = np.stack([g.xx + 2 * g.yy, 3 * g.xx + 4 * g.yy], axis=-1)
     J = ops.grad_vector(v)
@@ -127,7 +139,7 @@ def test_grad_vector_layout():
 
 def test_second_derivative_one_sided_edges():
     g = unit_grid(16)
-    ops = diff_ops(g)
+    ops = g.ops
     # quadratic is differentiated exactly by the one-sided 4-point rule too
     f = 3.0 * g.xx**2 + g.yy**2
     assert np.max(np.abs(ops.dxx(f) - 6.0)) < 1e-10
@@ -136,7 +148,7 @@ def test_second_derivative_one_sided_edges():
 
 def test_normals():
     g = unit_grid(8)
-    n = diff_ops(g).normals
+    n = g.ops.normals
     assert np.array_equal(n[0, 3], [-1.0, 0.0])
     assert np.array_equal(n[-1, 3], [1.0, 0.0])
     assert np.array_equal(n[3, 0], [0.0, -1.0])
@@ -148,7 +160,7 @@ def test_normals():
 
 def test_normal_derivative_linear():
     g = unit_grid(16)
-    ops = diff_ops(g)
+    ops = g.ops
     f = 2.0 * g.xx + 3.0 * g.yy
     nd = ops.normal_derivative(f)
     assert np.isclose(nd[0, 4], -2.0, atol=1e-12)
@@ -162,7 +174,7 @@ def test_beam_biharmonic_sin_refines_at_order_two():
     errs = []
     for n in (16, 32, 64):
         g = build_grid(1.0, 1.0, n, 4)
-        ops = diff_ops(g)
+        ops = g.ops
         out = ops.bih_clamped @ np.sin(np.pi * g.x)[1:-1]
         exact = np.pi**4 * np.sin(np.pi * g.x[1:-1])
         errs.append(np.max(np.abs(out - exact)[2:-2]))
@@ -173,7 +185,7 @@ def test_beam_biharmonic_sin_refines_at_order_two():
 
 def test_biharmonic_clamped_layer_rows():
     g = build_grid(1.0, 1.0, 8, 4)
-    m = diff_ops(g).bih_clamped * g.hx**4
+    m = g.ops.bih_clamped * g.hx**4
     assert np.allclose(m[0, :3], [7.0, -4.0, 1.0])
     assert np.allclose(m[-1, -3:], [1.0, -4.0, 7.0])
     assert np.allclose(m[3, 1:6], [1.0, -4.0, 6.0, -4.0, 1.0])
@@ -181,26 +193,26 @@ def test_biharmonic_clamped_layer_rows():
 
 def test_biharmonic_symmetric_positive_definite():
     for n in (16, 64):
-        m = diff_ops(build_grid(1.0, 1.0, n, 4)).bih_clamped
+        m = build_grid(1.0, 1.0, n, 4).ops.bih_clamped
         assert np.max(np.abs(m - m.T)) == 0.0
         assert np.linalg.eigvalsh(m).min() > 0.0
 
 
 def test_lap_s_matrix():
     g = build_grid(1.0, 1.0, 8, 4)
-    m = diff_ops(g).lap_s * g.hx**2
+    m = g.ops.lap_s * g.hx**2
     assert np.allclose(np.diag(m), -2.0)
     assert np.allclose(np.diag(m, 1), 1.0)
     # quadratic x(1-x) has second derivative -2, and vanishes at the ends
     eta = g.x * (1 - g.x)
-    assert np.allclose(diff_ops(g).lap_s @ eta[1:-1], -2.0, atol=1e-10)
+    assert np.allclose(g.ops.lap_s @ eta[1:-1], -2.0, atol=1e-10)
 
 
 def test_gradient_divergence_adjointness_zero_boundary():
     # for fields vanishing on the whole boundary the defect is tiny
     for n in (16, 32):
         g = unit_grid(n)
-        ops = diff_ops(g)
+        ops = g.ops
         p = np.sin(np.pi * g.xx) * np.sin(np.pi * (g.yy + 1))
         v = np.stack(
             [

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from fsilab.core_grid import build_grid, diff_ops
+from fsilab.core_grid import build_grid
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.linear_subsystems import default_params, plate_operator
 import fsilab.fs_operator as fs_operator
@@ -523,7 +523,7 @@ def test_zero_point_matches_deflated_direct_solve():
 def test_bending_plus_mean_coupling_is_nonsingular():
     grid = unit_grid(8)
     params = default_params()
-    ops = diff_ops(grid)
+    ops = grid.ops
     m = grid.nx - 1
     gain = params.R0 * params.theta_bar * params.rho_bar / grid.area
     mat = ops.bih_clamped + gain * np.outer(

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab.chgvar import build_diffeo
-from fsilab.core_grid import BeamField, FluidField, build_grid, diff_ops
+from fsilab.core_grid import BeamField, FluidField, build_grid
 from fsilab.errors import ConfigError
 from fsilab.linear_subsystems import (
     PhysParams,
-    _masks,
     _viscous_operator,
     SourceBundle,
     TemperatureStepper,
@@ -386,7 +385,7 @@ def test_lift_attains_trace_exactly():
 
 
 def test_lift_interior_residual_small():
-    from fsilab.linear_subsystems import _aniso_diffusion, _masks
+    from fsilab.linear_subsystems import _aniso_diffusion
 
     g = unit_grid(16)
     p = PhysParams(alpha=0.2, pi0=-1.0)
@@ -406,7 +405,7 @@ def test_lift_interior_residual_small():
             row.append(_aniso_diffusion(g, K))
         blocks.append(row)
     L = sp.bmat(blocks, format="csr") / p.rho_bar
-    interior = _masks(g)[0]
+    interior = g.mask_interior.ravel()
     int2 = np.concatenate([interior, interior])
     flat = np.concatenate([w[..., 0].ravel(), w[..., 1].ravel()])
     res = (L @ flat)[int2]
@@ -425,7 +424,7 @@ def pinned_row_solve(g, L, shift, rhs, e2):
     """Reference Dirichlet solve on every node: interior rows of shift - L,
     boundary rows of the identity carrying the pinned values."""
     N = g.n_nodes
-    interior, top = _masks(g)
+    interior, top = g.mask_interior.ravel(), g.mask_top.ravel()
     int2 = np.concatenate([interior, interior])
     M = sp.diags(int2.astype(float)) @ (shift * sp.eye(2 * N) - L) + sp.diags((~int2).astype(float))
     b = np.where(int2, np.concatenate([rhs[..., 0].ravel(), rhs[..., 1].ravel()]), 0.0)

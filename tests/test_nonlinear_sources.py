@@ -287,9 +287,8 @@ def test_shear_convention_flag_changes_heat_source_only():
     swap = eval_global_sources(st, mets, p, shear_convention="swapped")
     # identity metrics: the squared-shear term is |2 D(v)|^2 and the two
     # conventions differ by the factor (2 mu) vs (mu / 2)
-    from fsilab.core_grid import diff_ops
 
-    ops = diff_ops(g)
+    ops = g.ops
     gv = ops.grad_vector(v)
     S = gv + np.swapaxes(gv, -1, -2)
     shear_sq = np.einsum("...ab,...ab->...", S, S)

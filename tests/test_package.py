@@ -7,18 +7,20 @@ import pytest
 
 import fsilab
 
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fsilab.__path__))
+
 
 def test_package_exports_resolve():
     assert [name for name in fsilab.__all__ if not hasattr(fsilab, name)] == []
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(fsilab.__path__)))
+@pytest.mark.parametrize("module", MODULES)
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"fsilab.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(fsilab.__path__)))
+@pytest.mark.parametrize("module", MODULES)
 def test_sparse_lu_is_called_only_in_splu(module):
     # one ordering rule for every factor: nothing else calls SuperLU
     tree = ast.parse(inspect.getsource(importlib.import_module(f"fsilab.{module}")))
@@ -31,3 +33,19 @@ def test_sparse_lu_is_called_only_in_splu(module):
     calls = [(owners.get(node), name) for node, name in names.items() if name in ("splu", "spsolve")]
     allowed = [("_splu", "splu")] if module == "linear_subsystems" else []
     assert calls == allowed
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_process_wide_caches(module):
+    # stencils belong to their grid and factors to their stepper: nothing
+    # is memoised by value for the life of the process
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"fsilab.{module}")))
+    banned = {"lru_cache", "cache"}
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools" and banned & {a.name for a in node.names})
+        or (isinstance(node, ast.Attribute) and node.attr in banned and getattr(node.value, "id", None) == "functools")
+        or (isinstance(node, ast.Name) and node.id in banned)
+    ]
+    assert uses == []
