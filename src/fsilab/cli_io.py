@@ -23,7 +23,7 @@ from .core_grid import FluidField, BeamField, Grid2D, _cumtrapz, build_grid, int
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
 from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local
 from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, sector_rim, spectrum
-from .linear_subsystems import PhysParams, _identity_metric, manufactured_convergence, step_density
+from .linear_subsystems import PhysParams, _identity_metrics, manufactured_convergence, step_density
 from .nonlinear_sources import FullState, _global_density_source
 
 __all__ = [
@@ -542,8 +542,7 @@ def _drive_sector(cfg: RunConfig, out: pathlib.Path):
 def _density_closed_form_error(n_steps: int = 100, dt: float = 1e-3) -> float:
     # v = (x, y) contracts the density linearly: rho = 1 - 2 t exactly
     grid = build_grid(1.0, 1.0, 12, 12)
-    eye = _identity_metric(grid)
-    mets = (eye, np.ones(grid.shape), eye)
+    mets = _identity_metrics(grid)
     rho0 = np.ones(grid.shape)
     v = np.stack([grid.xx, grid.yy], axis=-1)
     zero = np.zeros(grid.shape)

@@ -41,7 +41,7 @@ from .linear_subsystems import (
     SourceBundle,
     TemperatureStepper,
     VelocityStepper,
-    _identity_metric,
+    _identity_metrics,
     _splu,
     default_params,
     plate_energy,
@@ -49,7 +49,7 @@ from .linear_subsystems import (
     step_plate,
 )
 from .nonlinear_sources import FullState, check_compatibility, eval_global_sources, eval_local_sources
-from .fs_operator import _grid_operators, _selection, assemble_coupled, pack_fields, unpack_fields
+from .fs_operator import _sbp_gradient, assemble_coupled, pack_fields, unpack_fields
 from .mirror import MirrorBlocks
 
 GAMMA1 = 1.0
@@ -89,14 +89,14 @@ class IterationConfig:
             n = round(T / dt)
             if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
                 bad(f"dt={dt:g} does not divide the horizon T={T:g}")
-        if not self.tol > 0:
-            bad(f"tol must be positive, got {self.tol:g}")
+        if not 0 < self.tol < math.inf:
+            bad(f"tol must be positive and finite, got {self.tol:g}")
         if self.max_iters < 1:
             bad(f"max_iters must be at least 1, got {self.max_iters}")
         if self.R is not None and not self.R > 0:
             bad(f"ball radius R must be positive when given, got {self.R:g}")
-        if not self.beta >= 0:
-            bad(f"decay weight beta must be nonnegative, got {self.beta:g}")
+        if not 0 <= self.beta < math.inf:
+            bad(f"decay weight beta must be nonnegative and finite, got {self.beta:g}")
         if not p > 2:
             bad(f"time exponent p must exceed 2, got {p:g}")
         if not q > 3:
@@ -499,12 +499,11 @@ class _GlobalEngine:
         self.mirror = MirrorBlocks(op)
         march = sp.identity(self.layout.total, format="csr") / cfg.dt - op.matrix
         self.lu = _splu(self.mirror.block_diagonal(march), "coupled march")
-        self.dx_sbp, self.dy_sbp = _grid_operators(self.grid)[:2]
-        self.sel = _selection(self.layout)[0]
-        eye = _identity_metric(self.grid)
+        # the pressure gradient at the velocity unknowns
+        self.grad_v = sp.vstack(_sbp_gradient(self.grid), format="csr")[self.layout.v_inner]
         rho_ref = FluidField(self.grid, np.full(self.grid.shape, params.rho_bar))
         self.sharp_step = TemperatureStepper(
-            self.grid, (eye, np.ones(self.grid.shape), eye), rho_ref, params, cfg.dt, gamma1=GAMMA1
+            self.grid, _identity_metrics(self.grid), rho_ref, params, cfg.dt, gamma1=GAMMA1
         )
 
     def march(self, bundle: SourceBundle):
@@ -531,8 +530,8 @@ class _GlobalEngine:
         ts = th_sharp[1:].reshape(steps, -1).T
         F = np.zeros((steps, layout.total))
         F[:, layout.sl_rho] = (bundle.f1[1:] - f1_avg[1:, None, None]).reshape(steps, -1)
-        F[:, layout.sl_vx] = (self.sel @ (bundle.f2[1:, ..., 0].reshape(steps, -1).T - R0 * (self.dx_sbp @ ts))).T
-        F[:, layout.sl_vy] = (self.sel @ (bundle.f2[1:, ..., 1].reshape(steps, -1).T - R0 * (self.dy_sbp @ ts))).T
+        F[:, layout.sl_v] = np.moveaxis(bundle.f2[1:], -1, 1).reshape(steps, -1)[:, layout.v_inner]
+        F[:, layout.sl_v] -= R0 * (self.grad_v @ ts).T
         F[:, layout.sl_theta] = GAMMA1 * (th_sharp[1:] - th_avg[1:, None, None]).reshape(steps, -1)
         Fd = h_hat[1:] + R0 * theta_bar * rho_flat[1:] + R0 * rho_bar * th_flat[1:]
         F[:, layout.sl_eta2] = bundle.h[1:, 1:-1] + R0 * rho_bar * th_sharp[1:, 1:-1, -1] + Fd[:, None]

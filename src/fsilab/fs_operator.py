@@ -12,13 +12,21 @@ equals the beam velocity, so their columns fold into the beam-velocity
 block.  That makes the kinematic coupling exact at the algebraic level
 instead of being enforced by penalty or constraint rows.
 
+The generator is assembled from the steppers' own operators at the rest
+state: the velocity rows are the velocity stepper's viscous operator,
+restricted to the unknowns of `_velocity_unknowns` exactly as the stepper
+restricts it; the temperature rows are the heat stepper's flux balance;
+the beam rows are `plate_operator`; the top-edge stress is the grid's
+first difference d/dy.  Only the density and pressure rows have a stencil
+of their own.
+
 Discretization choices that matter for the spectral checks:
 
-* the density row uses first-derivative matrices whose one-sided end rows
-  are first order; together with trapezoid weights they satisfy a
-  summation-by-parts identity, so total mass (fluid mass plus the beam
-  deflection contribution) is conserved to round-off,
-* the temperature row reuses the vertex-centered flux balance of the heat
+* the density and pressure rows use first-derivative matrices whose
+  one-sided end rows are first order; together with trapezoid weights they
+  satisfy a summation-by-parts identity, so total mass (fluid mass plus
+  the beam deflection contribution) is conserved to round-off,
+* the temperature row is the vertex-centered flux balance of the heat
   stepper, so the discrete temperature mean is conserved to round-off,
 * a weak density smoothing of strength hx*hy damps mesh-frequency
   density modes (invisible to centered differences) at an O(1) rate while
@@ -56,7 +64,10 @@ from .linear_subsystems import (
     PhysParams,
     _fv_diffusion,
     _identity_metric,
+    _restrict_velocity,
+    _rest_viscous_operator,
     _splu,
+    _velocity_unknowns,
     plate_operator,
 )
 from .mirror import MirrorBlocks
@@ -97,7 +108,12 @@ MAX_DENSE_DIM = 8200
 
 @dataclass(frozen=True, eq=False)
 class BlockLayout:
-    """Index bookkeeping for the stacked state vector."""
+    """Index bookkeeping for the stacked state vector.
+
+    `v_inner` and `v_trace` are `_velocity_unknowns(grid)`: the positions,
+    in the component-major stack (vx, vy) of node values, of the velocity
+    block and of the top-edge vy that the beam-velocity block carries.
+    """
 
     grid: Grid2D
     sl_rho: slice
@@ -107,8 +123,8 @@ class BlockLayout:
     sl_eta1: slice
     sl_eta2: slice
     total: int
-    interior_flat: np.ndarray
-    top_flat: np.ndarray
+    v_inner: np.ndarray
+    v_trace: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -116,11 +132,19 @@ class BlockLayout:
 
     @property
     def n_interior(self) -> int:
-        return self.interior_flat.size
+        return self.v_inner.size // 2
 
     @property
     def n_beam(self) -> int:
-        return self.top_flat.size
+        return self.v_trace.size
+
+    @property
+    def interior_flat(self) -> np.ndarray:
+        return self.v_inner[: self.n_interior]
+
+    @property
+    def top_flat(self) -> np.ndarray:
+        return self.v_trace - self.n_nodes
 
     @property
     def sl_v(self) -> slice:
@@ -130,10 +154,9 @@ class BlockLayout:
 def block_layout(grid: Grid2D) -> BlockLayout:
     """Block offsets for [rho, vx, vy, theta, eta1, eta2] stacking."""
     n = grid.n_nodes
-    interior = np.flatnonzero(grid.mask_interior.ravel())
-    top = np.flatnonzero(grid.mask_top.ravel())
-    ni = interior.size
-    m = top.size
+    inner, trace = _velocity_unknowns(grid)
+    ni = inner.size // 2
+    m = trace.size
     ofs = np.cumsum([0, n, ni, ni, n, m, m])
     return BlockLayout(
         grid=grid,
@@ -144,8 +167,8 @@ def block_layout(grid: Grid2D) -> BlockLayout:
         sl_eta1=slice(ofs[4], ofs[5]),
         sl_eta2=slice(ofs[5], ofs[6]),
         total=int(ofs[6]),
-        interior_flat=interior,
-        top_flat=top,
+        v_inner=inner,
+        v_trace=trace,
     )
 
 
@@ -157,11 +180,9 @@ def pack_fields(layout: BlockLayout, rho, v, theta, eta1, eta2) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(grid.shape)
     eta1 = np.asarray(eta1, dtype=float).reshape(grid.nx + 1)
     eta2 = np.asarray(eta2, dtype=float).reshape(grid.nx + 1)
-    idx = layout.interior_flat
     out = np.empty(layout.total)
     out[layout.sl_rho] = rho.ravel()
-    out[layout.sl_vx] = v[..., 0].ravel()[idx]
-    out[layout.sl_vy] = v[..., 1].ravel()[idx]
+    out[layout.sl_v] = np.moveaxis(v, -1, 0).reshape(-1)[layout.v_inner]
     out[layout.sl_theta] = theta.ravel()
     out[layout.sl_eta1] = eta1[1:-1]
     out[layout.sl_eta2] = eta2[1:-1]
@@ -177,14 +198,10 @@ def unpack_fields(layout: BlockLayout, vec: np.ndarray):
     lead = vec.shape[:-1]
     rho = vec[..., layout.sl_rho].reshape(lead + grid.shape)
     theta = vec[..., layout.sl_theta].reshape(lead + grid.shape)
-    v = np.zeros(lead + grid.shape + (2,), dtype=vec.dtype)
-    vx = np.zeros(lead + (grid.n_nodes,), dtype=vec.dtype)
-    vy = np.zeros(lead + (grid.n_nodes,), dtype=vec.dtype)
-    vx[..., layout.interior_flat] = vec[..., layout.sl_vx]
-    vy[..., layout.interior_flat] = vec[..., layout.sl_vy]
-    vy[..., layout.top_flat] = vec[..., layout.sl_eta2]
-    v[..., 0] = vx.reshape(lead + grid.shape)
-    v[..., 1] = vy.reshape(lead + grid.shape)
+    stacked = np.zeros(lead + (2 * grid.n_nodes,), dtype=vec.dtype)
+    stacked[..., layout.v_inner] = vec[..., layout.sl_v]
+    stacked[..., layout.v_trace] = vec[..., layout.sl_eta2]
+    v = np.ascontiguousarray(np.moveaxis(stacked.reshape(lead + (2,) + grid.shape), len(lead), -1))
     eta1 = np.zeros(lead + (grid.nx + 1,), dtype=vec.dtype)
     eta2 = np.zeros(lead + (grid.nx + 1,), dtype=vec.dtype)
     eta1[..., 1:-1] = vec[..., layout.sl_eta1]
@@ -269,58 +286,19 @@ def _sbp_first_diff(n: int, h: float) -> sp.csr_matrix:
     )
 
 
-def _second_diff_interior(n: int, h: float) -> sp.csr_matrix:
-    """1-D second derivative with zero end rows (only interior rows are
-    ever selected into the assembled operator)."""
-    inv = 1.0 / (h * h)
-    return _stencil_matrix(n, [(-1, inv), (0, -2.0 * inv), (1, inv)])
-
-
-def _grid_operators(grid: Grid2D):
-    """Full-grid derivative matrices on raveled scalar fields."""
+def _sbp_gradient(grid: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(d/dx, d/dy) of raveled scalar fields with the SBP first difference."""
     nx1, ny1 = grid.shape
-    ix = sp.identity(nx1, format="csr")
-    iy = sp.identity(ny1, format="csr")
-    dx_sbp = sp.kron(_sbp_first_diff(nx1, grid.hx), iy, format="csr")
-    dy_sbp = sp.kron(ix, _sbp_first_diff(ny1, grid.hy), format="csr")
-    dxx = sp.kron(_second_diff_interior(nx1, grid.hx), iy, format="csr")
-    dyy = sp.kron(ix, _second_diff_interior(ny1, grid.hy), format="csr")
-    dxy = (grid.ops.Dx @ grid.ops.Dy).tocsr()
-    return dx_sbp, dy_sbp, dxx, dyy, dxy
-
-
-def _viscous_stencils(params: PhysParams, dxx, dyy, dxy):
-    """Full-grid momentum stencils (m_xx, m_xy, m_yy) of the viscous flow,
-    mu/rho_bar Lap + (alpha + mu)/rho_bar grad div."""
-    coef_lap = params.mu / params.rho_bar
-    coef_div = (params.alpha + params.mu) / params.rho_bar
-    lap = dxx + dyy
-    return coef_lap * lap + coef_div * dxx, coef_div * dxy, coef_lap * lap + coef_div * dyy
-
-
-def _selection(layout: BlockLayout):
-    grid = layout.grid
-    n = grid.n_nodes
-    ni = layout.n_interior
-    m = layout.n_beam
-    sel = sp.csr_matrix(
-        (np.ones(ni), (np.arange(ni), layout.interior_flat)), shape=(ni, n)
-    )
-    top = sp.csr_matrix(
-        (np.ones(m), (layout.top_flat, np.arange(m))), shape=(n, m)
-    )
-    trace = sp.csr_matrix(
-        (np.ones(m), (np.arange(m), layout.top_flat)), shape=(m, n)
-    )
-    return sel, top, trace
+    dx = sp.kron(_sbp_first_diff(nx1, grid.hx), sp.identity(ny1, format="csr"), format="csr")
+    dy = sp.kron(sp.identity(nx1, format="csr"), _sbp_first_diff(ny1, grid.hy), format="csr")
+    return dx, dy
 
 
 def _coupled_weights(layout: BlockLayout) -> np.ndarray:
     grid = layout.grid
     w_nodes = grid.weights.ravel()
-    w_int = w_nodes[layout.interior_flat]
     w_beam = grid.beam_weights[1:-1]
-    return np.concatenate([w_nodes, w_int, w_int, w_nodes, w_beam, w_beam])
+    return np.concatenate([w_nodes, np.tile(w_nodes, 2)[layout.v_inner], w_nodes, w_beam, w_beam])
 
 
 def assemble_coupled(
@@ -332,84 +310,67 @@ def assemble_coupled(
     flow, beam stiffness and damping), or the "bounded" remainder (pressure
     gradients and the surface stress sampled onto the beam).  The two parts
     sum to the full matrix entry by entry.
+
+    The matrix has four block rows and columns: density, velocity,
+    temperature and the beam pair.  The velocity, heat and beam blocks are
+    the steppers' own operators at the rest state, restricted to the
+    velocity unknowns where they act on velocities.
     """
     if part not in ("full", "principal", "bounded"):
         raise ConfigError(f"unknown operator part {part!r}")
     params.require_global()
     layout = block_layout(grid)
-    sel, top, trace = _selection(layout)
-    dx_sbp, dy_sbp, dxx, dyy, dxy = _grid_operators(grid)
-    fv, _ = _fv_diffusion(grid, _identity_metric(grid))
-
+    inner, trace = layout.v_inner, layout.v_trace
+    dx, dy = _sbp_gradient(grid)
     rho_bar = params.rho_bar
-    mu = params.mu
-    ni = layout.n_interior
-    m = layout.n_beam
-    n = grid.n_nodes
+    n, m = grid.n_nodes, layout.n_beam
+    sizes = [n, inner.size, n, 2 * m]
+    R, V, TH, E = range(4)
+    blocks = {}
 
-    want_principal = part in ("full", "principal")
-    want_bounded = part in ("full", "bounded")
+    def add(r, c, mat):
+        blocks[r, c] = blocks[r, c] + mat if (r, c) in blocks else mat
 
-    blocks = [[None] * 6 for _ in range(6)]
-    R, VX, VY, TH, E1, E2 = range(6)
+    # the beam-velocity half of the beam pair, which carries the top-edge vy
+    eta2 = sp.identity(2 * m, format="csr")[m:]
 
-    if want_principal:
+    if part in ("full", "principal"):
         # density: d rho/dt = -rho_bar div v, plus weak smoothing that kills
         # mesh-frequency modes the centered divergence cannot see
-        eps = grid.hx * grid.hy
-        blocks[R][VX] = -rho_bar * (dx_sbp @ sel.T)
-        blocks[R][VY] = -rho_bar * (dy_sbp @ sel.T)
-        blocks[R][E2] = -rho_bar * (dy_sbp @ top)
-        blocks[R][R] = eps * fv
+        fv, _ = _fv_diffusion(grid, _identity_metric(grid))
+        div = sp.hstack([dx, dy], format="csr")
+        add(R, R, grid.hx * grid.hy * fv)
+        add(R, V, -rho_bar * div[:, inner])
+        add(R, E, -rho_bar * div[:, trace] @ eta2)
+        own, carry = _restrict_velocity(grid, _rest_viscous_operator(grid, params))
+        add(V, V, own)
+        add(V, E, carry @ eta2)
+        add(TH, TH, params.kappa_bar * fv)
+        add(E, E, sp.csr_matrix(plate_operator(grid)))
 
-        mxx, mxy, myy = _viscous_stencils(params, dxx, dyy, dxy)
-        blocks[VX][VX] = sel @ mxx @ sel.T
-        blocks[VX][VY] = sel @ mxy @ sel.T
-        blocks[VX][E2] = sel @ mxy @ top
-        blocks[VY][VX] = sel @ mxy @ sel.T
-        blocks[VY][VY] = sel @ myy @ sel.T
-        blocks[VY][E2] = sel @ myy @ top
-
-        blocks[TH][TH] = params.kappa_bar * fv
-
-        blocks[E1][E2] = sp.identity(m, format="csr")
-        blocks[E2][E1] = -sp.csr_matrix(grid.ops.bih_clamped)
-        blocks[E2][E2] = sp.csr_matrix(grid.ops.lap_s)
-
-    if want_bounded:
+    if part in ("full", "bounded"):
         # pressure gradients in the momentum rows
-        c_rho = params.R0 * params.theta_bar / rho_bar
-        c_th = params.R0
-        add = lambda b, extra: extra if b is None else b + extra
-        blocks[VX][R] = add(blocks[VX][R], -c_rho * (sel @ dx_sbp))
-        blocks[VY][R] = add(blocks[VY][R], -c_rho * (sel @ dy_sbp))
-        blocks[VX][TH] = add(blocks[VX][TH], -c_th * (sel @ dx_sbp))
-        blocks[VY][TH] = add(blocks[VY][TH], -c_th * (sel @ dy_sbp))
+        grad = sp.vstack([dx, dy], format="csr")[inner]
+        add(V, R, -(params.R0 * params.theta_bar / rho_bar) * grad)
+        add(V, TH, -params.R0 * grad)
 
         # beam forcing: minus the normal stress sampled on the top edge,
         #   -(2 mu + alpha) d_y v_y + R0 theta_bar rho + R0 rho_bar theta
         # (the tangential velocity vanishes along the whole edge, so the
         # horizontal part of the divergence drops out identically)
-        visc = 2.0 * mu + params.alpha
-        hy = grid.hy
-        # interior positions of the two nodes below each top node
-        below1 = np.searchsorted(layout.interior_flat, layout.top_flat - 1)
-        vals = np.repeat([[-visc * (-2.0 / hy), -visc * (0.5 / hy)]], m, axis=0)
-        at = (np.repeat(np.arange(m), 2), np.column_stack([below1, below1 - 1]).ravel())
-        stress_vy = sp.csr_matrix((vals.ravel(), at), shape=(m, ni))
-        blocks[E2][VY] = add(blocks[E2][VY], stress_vy)
-        blocks[E2][E2] = add(
-            blocks[E2][E2], sp.identity(m, format="csr") * (-visc * 1.5 / hy)
-        )
-        blocks[E2][R] = add(blocks[E2][R], params.R0 * params.theta_bar * trace)
-        blocks[E2][TH] = add(blocks[E2][TH], params.R0 * rho_bar * trace)
+        top = layout.top_flat
+        visc = 2.0 * params.mu + params.alpha
+        stress = sp.hstack([sp.csr_matrix((m, n)), -visc * grid.ops.Dy[top]], format="csr")
+        add(E, V, eta2.T @ stress[:, inner])
+        add(E, E, eta2.T @ stress[:, trace] @ eta2)
+        on_top = sp.identity(n, format="csr")[top]
+        add(E, R, params.R0 * params.theta_bar * eta2.T @ on_top)
+        add(E, TH, params.R0 * rho_bar * eta2.T @ on_top)
 
-    sizes = [n, ni, ni, n, m, m]
-    for r in range(6):
-        for c in range(6):
-            if blocks[r][c] is None:
-                blocks[r][c] = sp.csr_matrix((sizes[r], sizes[c]))
-    matrix = sp.bmat(blocks, format="csr")
+    matrix = sp.bmat(
+        [[blocks.get((r, c), sp.csr_matrix((sizes[r], sizes[c]))) for c in range(4)] for r in range(4)],
+        format="csr",
+    )
     return OperatorMatrix(
         matrix=matrix,
         domain="full",
@@ -437,15 +398,11 @@ def assemble_block(grid: Grid2D, params: PhysParams, which: str) -> OperatorMatr
             params=params,
         )
     if which == "velocity":
-        layout = block_layout(grid)
-        sel, _, _ = _selection(layout)
-        mxx, mxy, myy = _viscous_stencils(params, *_grid_operators(grid)[2:])
-        mat = sp.bmat([[sel @ a @ sel.T for a in row] for row in ((mxx, mxy), (mxy, myy))], format="csr")
-        w_int = grid.weights.ravel()[layout.interior_flat]
-        weights = np.concatenate([w_int, w_int])
+        inner, _ = _velocity_unknowns(grid)
+        mat, _ = _restrict_velocity(grid, _rest_viscous_operator(grid, params))
         return OperatorMatrix(
-            matrix=mat, domain="full", weights=weights, label="velocity",
-            grid=grid, params=params,
+            matrix=mat, domain="full", weights=np.tile(grid.weights.ravel(), 2)[inner],
+            label="velocity", grid=grid, params=params,
         )
     if which == "heat":
         fv, _ = _fv_diffusion(grid, _identity_metric(grid))
@@ -675,10 +632,10 @@ def _resolvent_zero_coupled(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
         )
 
     B = (-op.matrix).tocsr()
-    slr, slvx, slvy = layout.sl_rho, layout.sl_vx, layout.sl_vy
+    slr, slv = layout.sl_rho, layout.sl_v
     slth, sl1, sl2 = layout.sl_theta, layout.sl_eta1, layout.sl_eta2
     f1 = rhs[slr]
-    f2 = np.concatenate([rhs[slvx], rhs[slvy]])
+    f2 = rhs[slv]
     f3 = rhs[slth]
     h1 = rhs[sl1]
     h2 = rhs[sl2]
@@ -692,7 +649,6 @@ def _resolvent_zero_coupled(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
 
     # flow problem: momentum rows plus density rows, mean of the density
     # fluctuation pinned to zero through a border column
-    slv = layout.sl_v
     mom = sp.hstack([B[slv, slv], B[slv, slr]])
     div = sp.hstack([B[slr, slv], B[slr, slr]])
     rhs_mom = f2 - B[slv, slth] @ theta - B[slv, sl2] @ eta2
@@ -720,8 +676,7 @@ def _resolvent_zero_coupled(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
     rho_avg = -params.rho_bar / grid.area * float(w_beam @ eta1)
     x = np.empty(layout.total)
     x[slr] = rho_m + rho_avg
-    x[slvx] = v[: layout.n_interior]
-    x[slvy] = v[layout.n_interior:]
+    x[slv] = v
     x[slth] = theta
     x[sl1] = eta1
     x[sl2] = eta2
@@ -810,7 +765,7 @@ def _weight_gram(op: OperatorMatrix, rho_norm: str) -> sp.csr_matrix:
         gram = sp.block_diag(parts, format="csr")
         if rho_norm == "h1":
             grid = layout.grid
-            dx_sbp, dy_sbp, *_ = _grid_operators(grid)
+            dx_sbp, dy_sbp = _sbp_gradient(grid)
             w = sp.diags(grid.weights.ravel())
             stiff = (dx_sbp.T @ w @ dx_sbp + dy_sbp.T @ w @ dy_sbp).tocsr()
             rest = op.shape[0] - grid.n_nodes

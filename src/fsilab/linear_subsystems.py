@@ -164,6 +164,12 @@ def _identity_metric(grid: Grid2D) -> np.ndarray:
     return eye
 
 
+def _identity_metrics(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric triplet (B, delta, A) = (I, 1, I) of the identity map."""
+    eye = _identity_metric(grid)
+    return eye, np.ones(grid.shape), eye
+
+
 def _as_metrics(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(m, DiffeoMap):
         return m.B, m.delta, m.A
@@ -298,6 +304,12 @@ def _viscous_operator(grid: Grid2D, metrics, params: PhysParams) -> sp.csr_matri
     return sp.bmat(blocks, format="csr")
 
 
+def _rest_viscous_operator(grid: Grid2D, params: PhysParams) -> sp.csr_matrix:
+    """The viscous operator at the rest state, identity metrics and
+    density rho_bar: (mu Lap + (mu + alpha) grad div) / rho_bar."""
+    return _viscous_operator(grid, _identity_metrics(grid), params) / params.rho_bar
+
+
 def _fv_diffusion(grid: Grid2D, K: np.ndarray):
     """Vertex-centered flux balance for u -> div(K grad u) with flux data.
 
@@ -400,22 +412,39 @@ def _splu(M: sp.spmatrix, what: str):
 # ------------------------------------------------------------------ velocity
 
 
+def _velocity_unknowns(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, trace): positions in the component-major stack (vx, vy) of
+    node values. `inner` holds the unknowns of every velocity solve, both
+    components at interior nodes; `trace` holds vy on the top edge, which
+    equals the beam velocity. Every other position lies on a wall, where
+    the velocity is zero."""
+    interior = grid.mask_interior.ravel()
+    return np.flatnonzero(np.concatenate([interior, interior])), grid.n_nodes + np.flatnonzero(grid.mask_top)
+
+
+def _restrict_velocity(grid: Grid2D, L: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Rows of an operator L on stacked velocities at the unknowns, split
+    into the columns of the unknowns and of the beam trace; the wall
+    columns meet zero velocities and drop out."""
+    inner, trace = _velocity_unknowns(grid)
+    rows = L.tocsr()[inner]
+    return rows[:, inner], rows[:, trace]
+
+
 class _PinnedVelocity:
     """Solves (shift - L) v = rhs for v pinned to zero on the walls and to
-    the beam trace (vertical component) on the top edge. Only interior
-    unknowns are factored, so the matrix is structurally symmetric; the
-    trace reaches the interior rows through L's interior-to-top block, and
-    the boundary values are exact by construction."""
+    the beam trace (vertical component) on the top edge. Only the
+    unknowns of `_velocity_unknowns` are factored, so the matrix is
+    structurally symmetric; the trace reaches the interior rows through
+    L's interior-to-top block, and the boundary values are exact by
+    construction."""
 
     def __init__(self, grid: Grid2D, L: sp.spmatrix, shift: float, what: str):
-        interior = grid.mask_interior.ravel()
         self.grid = grid
         self.what = what
-        self._inner = np.flatnonzero(np.concatenate([interior, interior]))
-        self._trace = grid.n_nodes + np.flatnonzero(grid.mask_top)
-        rows = L.tocsr()[self._inner]
-        self._carry = rows[:, self._trace].tocsr()
-        self._lu = _splu(shift * sp.eye(self._inner.size) - rows[:, self._inner], what)
+        self._inner, self._trace = _velocity_unknowns(grid)
+        own, self._carry = _restrict_velocity(grid, L)
+        self._lu = _splu(shift * sp.eye(self._inner.size) - own, what)
 
     def solve(self, rhs: np.ndarray, e2: np.ndarray) -> np.ndarray:
         """rhs (nx+1, ny+1, 2) is read at interior nodes; e2 is the beam trace on nx+1 nodes."""
@@ -534,8 +563,7 @@ def solve_lift_Dv(eta2: BeamField, params: PhysParams) -> np.ndarray:
     """
     params.require_global()
     grid = eta2.grid
-    eye = _identity_metric(grid)
-    L = _viscous_operator(grid, (eye, np.ones(grid.shape), eye), params) / params.rho_bar
+    L = _rest_viscous_operator(grid, params)
     return _PinnedVelocity(grid, L, 0.0, "lifting").solve(np.zeros(grid.shape + (2,)), eta2.values)
 
 
@@ -632,15 +660,15 @@ def _march_family(stepper: str, grid: Grid2D, params: PhysParams, dt: float, n_s
         for n in range(n_steps):
             eta1, eta2 = step_plate(eta1, eta2, BeamField(grid, forcing((n + 1) * dt, grid.x)), dt)
         return eta1.values, lambda t: exact(t, grid.x)[0]
-    identity, ones = _identity_metric(grid), np.ones(grid.shape)
+    metrics, ones = _identity_metrics(grid), np.ones(grid.shape)
     if stepper == "heat":
         exact, forcing = _heat_family(params)
-        step = TemperatureStepper(grid, (identity, ones, identity), ones, params, dt).step
+        step = TemperatureStepper(grid, metrics, ones, params, dt).step
         zero_g = np.zeros(grid.shape)
         advance = lambda th, f: step(th, f, zero_g)
     else:
         exact, forcing = _velocity_family(params)
-        step = VelocityStepper(grid, (identity, ones, identity), ones, params, dt).step
+        step = VelocityStepper(grid, metrics, ones, params, dt).step
         zero_e2 = np.zeros(grid.nx + 1)
         advance = lambda v, f: step(v, zero_e2, f)
     u = exact(0.0, grid.xx, grid.yy)

@@ -537,12 +537,17 @@ def test_cli_invalid_override_exits_2(tmp_path):
         ("spectrum", "L=inf", "positive and finite, got L=inf"),
         ("spectrum", "mu=inf", "mu must be positive and finite, got inf"),
         ("sector", "rho_bar=inf", "rho_bar must be positive and finite, got inf"),
+        # an infinite weight iterates on nan norms, an infinite tolerance
+        # converges vacuously
+        ("run", "beta=inf", "beta must be nonnegative and finite, got inf"),
+        ("run", "tol=inf", "tol must be positive and finite, got inf"),
     ],
 )
 def test_cli_infinite_input_exits_2_and_names_the_key(tmp_path, command, override, named):
-    argv = [command, "--out", str(tmp_path / "r"), "--override", "nx=8", "--override", override]
-    if command == "sector":
-        argv += ["--override", "beta=1"]
+    argv = [command, "--out", str(tmp_path / "r")]
+    completes = {"sector": ["beta=1"], "run": ["mode=global", "scenario=beam-pluck", "T=0.05", "dt=0.01", "beta=1"]}
+    for item in ["nx=8", *completes.get(command, []), override]:
+        argv += ["--override", item]
     rc, _, err = run_cli(argv)
     assert rc == 2
     assert named in err

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,8 @@ def test_config_rejects_nondividing_step():
         dict(T=1.0, dt=0.1, beta=-0.5),
         dict(T=1.0, dt=0.1, p=2.0),
         dict(T=1.0, dt=0.1, q=3.0),
+        dict(T=1, dt=0.1, beta=math.inf),
+        dict(T=1, dt=0.1, tol=math.inf),
     ],
 )
 def test_config_rejects_bad_fields(kw):

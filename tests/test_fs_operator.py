@@ -168,28 +168,30 @@ def test_beam_forcing_row_on_constant_fields():
 
 def test_velocity_rows_consistent_with_reconstructed_field():
     # the eliminated boundary columns must act exactly like the rebuilt
-    # full-grid field: apply the raw stencils to the unpacked velocity
-    from fsilab.fs_operator import _grid_operators
+    # full-grid field: apply the grid's array stencils to the unpacked
+    # velocity, independently of the sparse assembly
+    from fsilab.fs_operator import _sbp_gradient
 
     op = coupled(6)
     lay = op.layout
     grid = op.grid
+    ops = grid.ops
     rng = np.random.default_rng(5)
     vec = random_vec(lay, rng)
     vec[lay.sl_rho] = 0.0
     vec[lay.sl_theta] = 0.0
     _, v, _, _, _ = unpack_fields(lay, vec)
-    dx_sbp, dy_sbp, dxx, dyy, dxy = _grid_operators(grid)
+    vx, vy = v[..., 0], v[..., 1]
     p = op.params
     cl = p.mu / p.rho_bar
     cd = (p.alpha + p.mu) / p.rho_bar
-    lap = dxx + dyy
-    fx = (cl * lap + cd * dxx) @ v[..., 0].ravel() + cd * (dxy @ v[..., 1].ravel())
-    fy = cd * (dxy @ v[..., 0].ravel()) + (cl * lap + cd * dyy) @ v[..., 1].ravel()
+    fx = cl * ops.laplace(vx) + cd * (ops.dxx(vx) + ops.dxy(vy))
+    fy = cl * ops.laplace(vy) + cd * (ops.dxy(vx) + ops.dyy(vy))
     out = op.matrix @ vec
-    assert np.allclose(out[lay.sl_vx], fx[lay.interior_flat], atol=1e-11)
-    assert np.allclose(out[lay.sl_vy], fy[lay.interior_flat], atol=1e-11)
-    rho_rate = -p.rho_bar * (dx_sbp @ v[..., 0].ravel() + dy_sbp @ v[..., 1].ravel())
+    assert np.allclose(out[lay.sl_vx], fx.ravel()[lay.interior_flat], atol=1e-11)
+    assert np.allclose(out[lay.sl_vy], fy.ravel()[lay.interior_flat], atol=1e-11)
+    dx_sbp, dy_sbp = _sbp_gradient(grid)
+    rho_rate = -p.rho_bar * (dx_sbp @ vx.ravel() + dy_sbp @ vy.ravel())
     assert np.allclose(out[lay.sl_rho], rho_rate, atol=1e-11)
 
 
@@ -815,9 +817,8 @@ def _manufactured_rates(grid, params):
     return f_rho, np.stack([f_vx, f_vy], axis=-1), f_th, f_e1, f_e2
 
 
-def _row_errors(n):
+def _row_errors(n, params):
     grid = build_grid(1.0, 1.0, n, n)
-    params = default_params()
     op = assemble_coupled(grid, params)
     lay = op.layout
     out = op.matrix @ pack_fields(lay, *_manufactured(grid))
@@ -840,9 +841,17 @@ def _row_errors(n):
     return errs, exact_e1
 
 
-def test_operator_rows_are_second_order():
-    coarse, e1_coarse = _row_errors(16)
-    fine, e1_fine = _row_errors(32)
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(default_params(), id="default"),
+        # unit coefficients would hide a wrong factor on any one of them
+        pytest.param(default_params(mu=0.3, alpha=0.7, rho_bar=2.0, pi0=-2.0), id="off-default"),
+    ],
+)
+def test_operator_rows_are_second_order(params):
+    coarse, e1_coarse = _row_errors(16, params)
+    fine, e1_fine = _row_errors(32, params)
     assert e1_coarse == 0.0 and e1_fine == 0.0  # identity row is exact
     for key in coarse:
         order = np.log2(coarse[key] / fine[key])

@@ -36,6 +36,25 @@ def test_sparse_lu_is_called_only_in_splu(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_stencils_are_built_in_two_places(module):
+    # one source per stencil: the centered first difference of the grid
+    # and the SBP first difference of the density rows; every other
+    # operator is assembled from those and from the steppers' operators
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"fsilab.{module}")))
+    owners = {}  # innermost enclosing definition: ast.walk visits outer ones first
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+            owners.update((node, fn.name) for node in ast.walk(fn))
+    callers = [
+        owners.get(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_stencil_matrix"
+    ]
+    allowed = {"core_grid": ["_d1_matrix"], "fs_operator": ["_sbp_first_diff"]}.get(module, [])
+    assert callers == allowed
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_process_wide_caches(module):
     # stencils belong to their grid and factors to their stepper: nothing
     # is memoised by value for the life of the process
