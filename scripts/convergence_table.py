@@ -4,6 +4,7 @@ steppers (heat, velocity, plate) in spatial and temporal mode.
 
 import argparse
 
+from fsilab.errors import ConfigError
 from fsilab.linear_subsystems import manufactured_convergence
 
 
@@ -29,9 +30,12 @@ def main():
     ap.add_argument("--temporal", type=int, nargs="+", default=[64, 128, 256])
     args = ap.parse_args()
 
-    for stepper in ("heat", "velocity"):
-        show(stepper, "sin-product", args.spatial, "spatial")
-    show("plate", "clamped-poly", args.temporal, "temporal")
+    try:
+        for stepper in ("heat", "velocity"):
+            show(stepper, "sin-product", args.spatial, "spatial")
+        show("plate", "clamped-poly", args.temporal, "temporal")
+    except ConfigError as err:
+        ap.error(str(err))
 
 
 if __name__ == "__main__":

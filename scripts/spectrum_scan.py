@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from fsilab.core_grid import build_grid
-from fsilab.fs_operator import assemble_coupled, kernel_dimension, spectrum
+from fsilab.fs_operator import assemble_coupled, kernel_dimension, restrict_Xm, spectrum
 from fsilab.linear_subsystems import default_params
 
 
@@ -28,7 +28,7 @@ def main():
         grid = build_grid(1.0, 1.0, n, n)
         op = assemble_coupled(grid, params)
         t0 = time.perf_counter()
-        lam_m = spectrum(op, restrict="mean_zero")
+        lam_m = spectrum(restrict_Xm(op))
         secs = time.perf_counter() - t0
         margin = -float(lam_m.real.max())
         kernel = kernel_dimension(op, lam_m)

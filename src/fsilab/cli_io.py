@@ -500,7 +500,7 @@ def _drive_spectrum(cfg: RunConfig, out: pathlib.Path):
     grid = cfg.make_grid()
     params = cfg.physical()
     op = assemble_coupled(grid, params)
-    vals = spectrum(op, restrict="mean_zero")
+    vals = spectrum(restrict_Xm(op))
     _write_csv(out / "eigenvalues.csv", ("re", "im"), [(z.real, z.imag) for z in vals])
     max_re = float(vals.real.max())
     kernel_dim = kernel_dimension(op, vals)
@@ -611,7 +611,10 @@ def run_scenario(cfg: RunConfig) -> RunReport:
     when the run dies; module errors then propagate to the caller.
     """
     out = pathlib.Path(os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output directory {out} cannot be made: {err}") from err
     config_text = print_config(cfg)
     (out / "config.txt").write_text(config_text)
     t0 = time.perf_counter()
@@ -698,7 +701,11 @@ def main(argv=None) -> int:
         if not cfg_path.exists():
             print(f"config file not found: {cfg_path}", file=sys.stderr)
             return 2
-        text = cfg_path.read_text()
+        try:
+            text = cfg_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"cannot read config file {cfg_path}: {err}", file=sys.stderr)
+            return 2
     overrides = list(args.override)
     forced_mode = {"spectrum": "spectrum", "sector": "sector", "converge": "convergence"}.get(args.command)
     if forced_mode:

@@ -40,7 +40,9 @@ there.  A mean-zero operator (`restrict_Xm`) is therefore A itself with a
 domain tag, and its consumers project instead of shifting the kernel away:
 spectra drop the two kernel eigenvalues, and sector scans measure
 lam (lam I - A)^{-1} on the image of the Gram-orthogonal projector onto
-{C x = 0}, solving with the sparse LU of lam I - A.
+{C x = 0}, solving with the sparse LU of lam I - A.  Every resolvent solve
+is one sparse LU: at lam = 0, where A is singular, the system is bordered
+by the kernel vectors K and the functionals C, [[-A, K], [C, 0]].
 
 The grid and the rest state are symmetric under the mirror x -> L - x, and
 A commutes with it exactly, so `spectrum` solves A's even and odd blocks
@@ -101,6 +103,14 @@ __all__ = [
 
 # Dense eigensolves beyond this stacked dimension are not worth the wait.
 MAX_DENSE_DIM = 8200
+# Fixed settings of the projection, resolvent and sector checks.
+MEAN_ZERO_TOL = 1e-10  # relative closure of project_mean_zero
+RESOLVENT_RTOL = 1e-8  # relative residual every resolvent solve must meet
+POWER_ITERS = 30  # power iterations per sector sample
+ANGLE_MARGIN = 0.05  # how far the outer sector ray stays inside the edge
+GAMMA_LIMIT = 1.0e4  # largest shift gamma_search tries: 0, 1, 4, 16, ...
+PERTURBATION_SAMPLES = 32  # random states in perturbation_check's fit
+PERTURBATION_RADII = (1.0e-2, 1.0, 1.0e2)  # its sector radii
 
 
 # ---------------------------------------------------------------- layout
@@ -446,9 +456,7 @@ def kernel_vectors(layout: BlockLayout, params: PhysParams) -> np.ndarray:
     return np.column_stack([k1, k2])
 
 
-def project_mean_zero(
-    op: OperatorMatrix, vec: np.ndarray, tol: float = 1e-13
-) -> np.ndarray:
+def project_mean_zero(op: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
     """Project a state vector onto the mean-zero subspace by constant
     shifts of temperature and density (the shifts the conserved
     functionals respond to)."""
@@ -462,7 +470,7 @@ def project_mean_zero(
     out[layout.sl_rho] -= (cons[0] @ out) / area
     resid = np.abs(cons @ out)
     scale = max(np.linalg.norm(out), 1.0)
-    if np.any(resid > 1e3 * tol * scale):
+    if np.any(resid > MEAN_ZERO_TOL * scale):
         raise NumericsError("mean-zero projection failed to close")
     return out
 
@@ -506,7 +514,7 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
 # ---------------------------------------------------------------- spectra
 
 
-def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = False):
+def spectrum(op: OperatorMatrix, with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part, ties by descending
     imaginary part (a conjugate pair lists +Im first).
 
@@ -515,17 +523,11 @@ def spectrum(op: OperatorMatrix, restrict: str = "native", with_vectors: bool = 
     x -> L - x, else one block holding all of A.  Eigenvectors are lifted
     through the block bases and normalised to unit length.
 
-    On the mean-zero subspace (`restrict="mean_zero"`, or a mean-zero
-    operator) the two eigenvalues of smallest modulus, the kernel of the
-    conserved quantities (both kernel vectors are even), are dropped.
+    The domain tag is the only switch: on a mean-zero operator
+    (`restrict_Xm`) the two eigenvalues of smallest modulus, the kernel of
+    the conserved quantities (both kernel vectors are even), are dropped.
     Whether they really are the kernel is `kernel_dimension`'s certificate.
     """
-    if restrict not in ("native", "full", "mean_zero"):
-        raise ConfigError(f"unknown spectrum restriction {restrict!r}")
-    if restrict == "mean_zero":
-        op = restrict_Xm(op)
-    if restrict == "full" and op.domain != "full":
-        raise ConfigError("cannot widen a mean-zero operator back to full")
     n = op.shape[0]
     if n > MAX_DENSE_DIM:
         raise ConfigError(
@@ -598,121 +600,48 @@ def energy_rate(op: OperatorMatrix, vec: np.ndarray) -> float:
 # -------------------------------------------------------------- resolvent
 
 
-def _bordered_solve(mat: sp.spmatrix, border: np.ndarray, rhs: np.ndarray):
-    """Solve [[mat, border], [border^T, 0]] [x; s] = [rhs; 0]."""
-    n = mat.shape[0]
-    col = sp.csr_matrix(border.reshape(n, 1))
-    sys = sp.bmat([[mat, col], [col.T, None]], format="csc")
-    lu = _splu(sys, "bordered solve")
-    sol = lu.solve(np.concatenate([rhs, [0.0]]))
-    return sol[:n], sol[n]
-
-
-def _resolvent_zero_coupled(op: OperatorMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve -A x = rhs at the spectral point 0 on the mean-zero subspace.
-
-    The solve follows the decoupling order of the stationary system: beam
-    velocity first, then the insulated temperature problem, then a
-    divergence-constrained flow problem for velocity and the fluctuating
-    density, and finally the beam deflection through the bending matrix
-    plus the rank-one mean-pressure coupling.  Every block is sliced out of
-    the assembled matrix, so the result satisfies the discrete equations
-    verbatim.
-    """
-    layout, params, grid = op.layout, op.params, op.grid
-    cons = constraint_functionals(layout, params)
-    scale = float(np.linalg.norm(rhs))
-    viol = np.abs(cons @ rhs)
-    limit = 1e-9 * max(scale, 1.0) * np.linalg.norm(cons, axis=1)
-    if np.any(viol > limit):
-        raise NumericsError(
-            "spectral point 0 is singular for this right-hand side: the "
-            "conserved-quantity functionals of the source do not vanish "
-            f"(residuals {viol.tolist()})"
-        )
-
-    B = (-op.matrix).tocsr()
-    slr, slv = layout.sl_rho, layout.sl_v
-    slth, sl1, sl2 = layout.sl_theta, layout.sl_eta1, layout.sl_eta2
-    f1 = rhs[slr]
-    f2 = rhs[slv]
-    f3 = rhs[slth]
-    h1 = rhs[sl1]
-    h2 = rhs[sl2]
-
-    # beam velocity decouples algebraically
-    eta2 = -h1
-
-    # insulated temperature problem with pinned mean
-    w_nodes = grid.weights.ravel()
-    theta, _ = _bordered_solve(B[slth, slth], w_nodes, f3)
-
-    # flow problem: momentum rows plus density rows, mean of the density
-    # fluctuation pinned to zero through a border column
-    mom = sp.hstack([B[slv, slv], B[slv, slr]])
-    div = sp.hstack([B[slr, slv], B[slr, slr]])
-    rhs_mom = f2 - B[slv, slth] @ theta - B[slv, sl2] @ eta2
-    rhs_div = f1 - B[slr, sl2] @ eta2
-    nv = 2 * layout.n_interior
-    border = np.concatenate([np.zeros(nv), w_nodes])
-    flow = sp.vstack([mom, div])
-    sol, _ = _bordered_solve(flow, border, np.concatenate([rhs_mom, rhs_div]))
-    v = sol[:nv]
-    rho_m = sol[nv:]
-
-    # beam deflection: bending matrix plus the rank-one coupling through
-    # the mean density the deflection itself displaces
-    w_beam = grid.beam_weights[1:-1]
-    gain = params.R0 * params.theta_bar * params.rho_bar / grid.area
-    plate = grid.ops.bih_clamped + gain * np.outer(np.ones(layout.n_beam), w_beam)
-    rhs_plate = h2 - (
-        B[sl2, slv] @ v
-        + B[sl2, slr] @ rho_m
-        + B[sl2, slth] @ theta
-        + B[sl2, sl2] @ eta2
-    )
-    eta1 = la.solve(plate, rhs_plate)
-
-    rho_avg = -params.rho_bar / grid.area * float(w_beam @ eta1)
-    x = np.empty(layout.total)
-    x[slr] = rho_m + rho_avg
-    x[slv] = v
-    x[slth] = theta
-    x[sl1] = eta1
-    x[sl2] = eta2
-    return x
-
-
-def resolvent_solve(
-    op: OperatorMatrix, lam: complex, rhs: np.ndarray, rtol: float = 1e-8
-) -> np.ndarray:
+def resolvent_solve(op: OperatorMatrix, lam: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve (lam I - A) x = rhs with an explicit residual check.
 
     A singular or near-singular spectral point raises NumericsError rather
     than returning garbage.  At lam = 0 on a coupled operator, full or
-    mean-zero, the solve goes through the stationary cascade, which also
-    checks that the right-hand side respects the conserved quantities.
+    mean-zero, the right-hand side must respect the conserved quantities
+    (range(A) = {C x = 0}), and the mean-zero solution comes from one sparse
+    LU of the bordered system [[-A, K], [C, 0]] [x; s] = [rhs; 0], which is
+    nonsingular because C K is: K are the kernel vectors, C the constraint
+    functionals.
     """
     rhs = np.asarray(rhs)
-    if rhs.shape != (op.shape[0],):
+    n = op.shape[0]
+    if rhs.shape != (n,):
         raise ConfigError("right-hand side length does not match operator")
+    mat = lam * sp.identity(n, format="csr") - op.matrix
+    padded = rhs
     if lam == 0 and op.layout is not None:
-        x = _resolvent_zero_coupled(op, rhs.astype(float))
-    else:
-        mat = (lam * sp.identity(op.shape[0], format="csr") - op.matrix).tocsc()
-        if np.iscomplexobj(rhs) or np.iscomplex(lam):
-            mat = mat.astype(complex)
-        lu = _splu(mat, f"resolvent solve at {lam}")
-        x = lu.solve(rhs.astype(mat.dtype))
+        cons = constraint_functionals(op.layout, op.params)
+        viol = np.abs(cons @ rhs)
+        if np.any(viol > 1e-9 * max(float(np.linalg.norm(rhs)), 1.0) * np.linalg.norm(cons, axis=1)):
+            raise NumericsError(
+                "spectral point 0 is singular for this right-hand side: the "
+                "conserved-quantity functionals of the source do not vanish "
+                f"(residuals {viol.tolist()})"
+            )
+        kern = sp.csr_matrix(kernel_vectors(op.layout, op.params))
+        mat = sp.bmat([[mat, kern], [sp.csr_matrix(cons), None]])
+        padded = np.concatenate([rhs, np.zeros(2)])
+    mat = mat.tocsc()
+    if np.iscomplexobj(rhs) or np.iscomplex(lam):
+        mat = mat.astype(complex)
+    x = _splu(mat, f"resolvent solve at {lam}").solve(padded.astype(mat.dtype))[:n]
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"resolvent solve at {lam} produced non-finite values")
     resid = lam * x - op.matrix @ x - rhs
     scale = max(float(np.linalg.norm(rhs)), 1e-30)
     rel = float(np.linalg.norm(resid)) / scale
-    if rel > rtol:
+    if rel > RESOLVENT_RTOL:
         raise NumericsError(
             f"resolvent residual {rel:.3e} at spectral point {lam} exceeds "
-            f"{rtol:.1e}; the point is at or near the spectrum"
+            f"{RESOLVENT_RTOL:.1e}; the point is at or near the spectrum"
         )
     return x
 
@@ -736,55 +665,25 @@ class SectorScanResult:
         return len(self.singular) == 0 and np.isfinite(self.m_hat)
 
 
-def _weight_gram(op: OperatorMatrix, rho_norm: str) -> sp.csr_matrix:
+def _weight_gram(op: OperatorMatrix) -> sp.csr_matrix:
     """Gram matrix of the norm used for resolvent bounds.
 
     Quadrature-weighted L2 on every block except the beam deflection,
     which carries the clamped bending form (the second-derivative proxy
     matching that component's regularity; without it the companion-form
-    beam pair looks spuriously non-normal).  `rho_norm="h1"` additionally
-    stiffens the density block by a first-derivative form.
+    beam pair looks spuriously non-normal).
     """
-    if rho_norm not in ("l2", "h1"):
-        raise ConfigError(f"unknown density norm variant {rho_norm!r}")
-    gram = sp.diags(op.weights).tocsr()
-
-    def bending(grid):
-        h = grid.beam_weights[1]
-        return sp.csr_matrix(h * grid.ops.bih_clamped)
-
     if op.layout is not None:
-        layout = op.layout
-        parts = [
-            sp.diags(op.weights[layout.sl_rho]),
-            sp.diags(op.weights[layout.sl_v]),
-            sp.diags(op.weights[layout.sl_theta]),
-            bending(layout.grid),
-            sp.diags(op.weights[layout.sl_eta2]),
-        ]
-        gram = sp.block_diag(parts, format="csr")
-        if rho_norm == "h1":
-            grid = layout.grid
-            dx_sbp, dy_sbp = _sbp_gradient(grid)
-            w = sp.diags(grid.weights.ravel())
-            stiff = (dx_sbp.T @ w @ dx_sbp + dy_sbp.T @ w @ dy_sbp).tocsr()
-            rest = op.shape[0] - grid.n_nodes
-            pad = sp.block_diag([stiff, sp.csr_matrix((rest, rest))], format="csr")
-            gram = (gram + pad).tocsr()
-        return gram
-    if op.label == "plate":
-        if rho_norm == "h1":
-            raise ConfigError("h1 density norm needs a coupled operator")
-        m = op.shape[0] // 2
-        return sp.block_diag(
-            [bending(op.grid), sp.diags(op.weights[m:])], format="csr"
-        )
-    if rho_norm == "h1":
-        raise ConfigError("h1 density norm needs a coupled operator")
-    return gram
+        grid, eta1 = op.layout.grid, op.layout.sl_eta1
+    elif op.label == "plate":
+        grid, eta1 = op.grid, slice(0, op.shape[0] // 2)
+    else:
+        return sp.diags(op.weights).tocsr()
+    bending = sp.csr_matrix(grid.beam_weights[1] * grid.ops.bih_clamped)
+    return sp.block_diag([sp.diags(op.weights[: eta1.start]), bending, sp.diags(op.weights[eta1.stop :])], format="csr")
 
 
-def _gram_maps(op: OperatorMatrix, rho_norm: str):
+def _gram_maps(op: OperatorMatrix):
     """(apply, solve, project) of the scan's norm.
 
     `apply` and `solve` multiply and divide by the Gram matrix G; a
@@ -794,7 +693,7 @@ def _gram_maps(op: OperatorMatrix, rho_norm: str):
     measures the norm of the restriction exactly; elsewhere it is the
     identity.
     """
-    gram = _weight_gram(op, rho_norm)
+    gram = _weight_gram(op)
     diag = gram.diagonal()
     if gram.nnz == np.count_nonzero(diag):
         apply, solve = (lambda z: diag * z), (lambda z: z / diag)
@@ -814,12 +713,11 @@ def _scaled_resolvent_norm(
     lam: complex,
     gram_maps,
     rng: np.random.Generator,
-    iters: int,
     gamma: float,
 ) -> float:
     """||lam (lam I - (A - gamma))^{-1} P|| in the quadrature norm via power
     iteration on the weighted normal operator; `gram_maps` is
-    `_gram_maps(op, rho_norm)` and P its projector.  The shift is folded
+    `_gram_maps(op)` and P its projector.  The shift is folded
     into the factored lam + gamma, so no shifted copy of A is made."""
     n = op.shape[0]
     mat = ((lam + gamma) * sp.identity(n, format="csr") - op.matrix).tocsc().astype(complex)
@@ -832,7 +730,7 @@ def _scaled_resolvent_norm(
     x = project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x /= np.sqrt(np.real(np.vdot(x, w_apply(x))))
     value = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         y = solve(x)
         value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
         z = project(w_solve(solve(w_apply(y), trans="H")))
@@ -848,9 +746,6 @@ def sector_scan(
     beta: float,
     radii,
     gamma: float = 0.0,
-    rho_norm: str = "l2",
-    power_iters: int = 30,
-    angle_margin: float = 0.05,
     seed: int = 0,
 ) -> SectorScanResult:
     """Sample ||lam (lam I - (A - gamma))^{-1}|| over rays of the sector
@@ -870,8 +765,8 @@ def sector_scan(
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("sector scan needs positive sample radii")
     rng = np.random.default_rng(seed)
-    gram_maps = _gram_maps(op, rho_norm)
-    angles = [0.0, beta / 2.0, max(beta - angle_margin, beta * 0.5)]
+    gram_maps = _gram_maps(op)
+    angles = [0.0, beta / 2.0, max(beta - ANGLE_MARGIN, beta * 0.5)]
     lambdas = []
     for r in radii:
         for phi in angles:
@@ -883,7 +778,7 @@ def sector_scan(
     singular = []
     for lam in lambdas:
         try:
-            val = _scaled_resolvent_norm(op, lam, gram_maps, rng, power_iters, gamma)
+            val = _scaled_resolvent_norm(op, lam, gram_maps, rng, gamma)
         except NumericsError:
             singular.append(lam)
             continue
@@ -901,27 +796,17 @@ def sector_scan(
     )
 
 
-def gamma_search(
-    op: OperatorMatrix,
-    beta: float,
-    radii,
-    start: float = 0.0,
-    factor: float = 4.0,
-    limit: float = 1.0e4,
-    **scan_kwargs,
-):
+def gamma_search(op: OperatorMatrix, beta: float, radii, seed: int = 0):
     """Smallest tried shift gamma for which the sector scan has no singular
-    samples, found by geometric increase from `start`."""
-    gamma = start
+    samples: 0, then 1, 4, 16, ... up to GAMMA_LIMIT."""
+    gamma = 0.0
     while True:
-        result = sector_scan(op, beta, radii, gamma=gamma, **scan_kwargs)
+        result = sector_scan(op, beta, radii, gamma=gamma, seed=seed)
         if result.passed:
             return gamma, result
-        gamma = factor * max(gamma, 0.25)
-        if gamma > limit:
-            raise NumericsError(
-                f"no shift up to {limit} made the sector scan regular"
-            )
+        gamma = 4.0 * max(gamma, 0.25)
+        if gamma > GAMMA_LIMIT:
+            raise NumericsError(f"no shift up to {GAMMA_LIMIT:g} made the sector scan regular")
 
 
 # ---------------------------------------------------------- perturbation
@@ -944,24 +829,21 @@ def perturbation_check(
     b: OperatorMatrix,
     beta: float,
     gamma: float,
-    n_samples: int = 32,
-    seed: int = 0,
-    radii=(1.0e-2, 1.0, 1.0e2),
 ) -> PerturbationReport:
     """Check that the bounded part is small relative to the principal part.
 
-    Random states give pairs (||B x||, ||A0 x||, ||x||) in the quadrature
-    norm; a least-squares fit of the relative bound is compared against the
-    reciprocal of the principal part's sector bound.
+    Random states (seed 0) give pairs (||B x||, ||A0 x||, ||x||) in the
+    quadrature norm; a least-squares fit of the relative bound is compared
+    against the reciprocal of the principal part's sector bound.
     """
     if a0.shape != b.shape:
         raise ConfigError("principal and bounded parts must have equal shape")
-    rng = np.random.default_rng(seed)
-    gram = _weight_gram(a0, "l2")
+    rng = np.random.default_rng(0)
+    gram = _weight_gram(a0)
     norm = lambda z: np.sqrt(float(z @ (gram @ z)))
-    rows = np.empty((n_samples, 2))
-    lhs = np.empty(n_samples)
-    for k in range(n_samples):
+    rows = np.empty((PERTURBATION_SAMPLES, 2))
+    lhs = np.empty(PERTURBATION_SAMPLES)
+    for k in range(PERTURBATION_SAMPLES):
         x = rng.standard_normal(a0.shape[0])
         x /= norm(x)
         rows[k, 0] = norm(a0.matrix @ x)
@@ -970,9 +852,9 @@ def perturbation_check(
     coef, *_ = np.linalg.lstsq(rows, lhs, rcond=None)
     a_fit = float(max(coef[0], 0.0))
     b_fit = float(max(coef[1], 0.0))
-    scan = sector_scan(a0, beta, radii, gamma=gamma, seed=seed)
+    scan = sector_scan(a0, beta, PERTURBATION_RADII, gamma=gamma, seed=0)
     condition_ok = bool(scan.passed and a_fit * scan.m_hat < 1.0)
     return PerturbationReport(
         a=a_fit, b=b_fit, m_hat=scan.m_hat,
-        condition_ok=condition_ok, n_samples=n_samples,
+        condition_ok=condition_ok, n_samples=PERTURBATION_SAMPLES,
     )

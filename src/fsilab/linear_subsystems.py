@@ -689,9 +689,12 @@ def manufactured_convergence(stepper: str, family: str, resolutions, mode: str =
         raise ConfigError(f"unknown mode {mode!r}")
     if stepper not in ("heat", "velocity", "plate"):
         raise ConfigError(f"unknown stepper id {stepper!r}")
+    resolutions = tuple(int(r) for r in resolutions)
+    need = 2 if mode == "spatial" else 3
+    if len(resolutions) < need:
+        raise ConfigError(f"{mode} convergence needs at least {need} resolutions, got {len(resolutions)}")
     params = params or PhysParams()
     T = 0.05
-    resolutions = tuple(int(r) for r in resolutions)
     if mode == "spatial":
         errors = []
         for n in resolutions:

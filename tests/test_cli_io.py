@@ -336,7 +336,7 @@ def test_spectrum_mode_runs_one_eigensolve(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("restrict"))
+        calls.append(args[0].domain)
         return spectrum(*args, **kwargs)
 
     monkeypatch.setattr(cli, "spectrum", counted)
@@ -553,9 +553,26 @@ def test_cli_infinite_input_exits_2_and_names_the_key(tmp_path, command, overrid
     assert named in err
 
 
-def test_cli_missing_config_file_exits_2(tmp_path):
-    rc, _, err = run_cli(["run", "--config", str(tmp_path / "ghost.cfg")])
-    assert rc == 2 and "not found" in err
+@pytest.mark.parametrize(
+    "make, says",
+    [
+        pytest.param(lambda path: None, "not found", id="missing"),
+        pytest.param(lambda path: path.mkdir(), "cannot read", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b"nx = 8\n# \xff\xfe\n"), "cannot read", id="undecodable"),
+    ],
+)
+def test_cli_missing_config_file_exits_2(tmp_path, make, says):
+    path = tmp_path / "ghost.cfg"
+    make(path)
+    rc, _, err = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2 and says in err and str(path) in err
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    rc, _, err = run_cli(["converge", "--out", str(path)])
+    assert rc == 2 and str(path) in err
 
 
 def test_cli_subcommand_forces_mode(tmp_path):

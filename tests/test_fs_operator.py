@@ -247,7 +247,7 @@ def test_projection_idempotent_and_in_subspace():
 
 def test_mean_zero_spectrum_strictly_negative():
     op = coupled(8)
-    vals = spectrum(op, restrict="mean_zero")
+    vals = spectrum(restrict_Xm(op))
     assert vals.real.max() < -0.2
     assert vals.size == op.shape[0] - 2
 
@@ -269,9 +269,9 @@ def test_mean_zero_spectrum_is_the_restricted_spectrum():
     dense = op.matrix.toarray()
     assert np.abs(dense @ basis - basis @ (basis.T @ dense @ basis)).max() < 1e-9
     ref = np.sort_complex(la.eigvals(basis.T @ dense @ basis))
-    for vals in (spectrum(op, restrict="mean_zero"), spectrum(restrict_Xm(op))):
-        assert vals.size == op.shape[0] - 2
-        assert np.abs(np.sort_complex(vals) - ref).max() < 1e-8 * np.abs(ref).max()
+    vals = spectrum(restrict_Xm(op))
+    assert vals.size == op.shape[0] - 2
+    assert np.abs(np.sort_complex(vals) - ref).max() < 1e-8 * np.abs(ref).max()
 
 
 def test_spectrum_orders_tied_real_parts_by_imaginary_part():
@@ -293,7 +293,7 @@ def test_spectrum_orders_tied_real_parts_by_imaginary_part():
 def test_decay_margin_stable_under_refinement():
     betas = []
     for n in (8, 12):
-        vals = spectrum(coupled(n), restrict="mean_zero")
+        vals = spectrum(restrict_Xm(coupled(n)))
         betas.append(-vals.real.max())
     assert abs(betas[0] - betas[1]) / betas[0] < 0.4
 
@@ -306,6 +306,10 @@ def test_eigenpair_residuals():
         x = vecs[:, k]
         resid = np.linalg.norm(A @ x - vals[k] * x) / np.linalg.norm(x)
         assert resid < 1e-8 * (1.0 + abs(vals[k]))
+
+
+def _on(op, restrict):
+    return restrict_Xm(op) if restrict == "mean_zero" else op
 
 
 def _dense_spectrum(matrix, restrict):
@@ -354,7 +358,7 @@ def test_split_spectrum_equals_dense_eigenvalues(H, nx, ny, restrict):
     assert len(bases) == 2
     assert sum(rows.size for rows, _ in bases) == op.shape[0]
     ref = _dense_spectrum(op.matrix, restrict)
-    vals = spectrum(op, restrict=restrict)
+    vals = spectrum(_on(op, restrict))
     assert vals.size == ref.size
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -376,7 +380,7 @@ def test_broken_mirror_symmetry_falls_back_to_one_block():
     assert len(MirrorBlocks(op).bases) == 1
     for restrict in ("full", "mean_zero"):
         ref = _dense_spectrum(op.matrix, restrict)
-        vals = spectrum(op, restrict=restrict)
+        vals = spectrum(_on(op, restrict))
         assert vals.size == ref.size
         assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
     grid = unit_grid(8)
@@ -389,7 +393,7 @@ def test_lifted_eigenvectors_are_unit_eigenpairs(case, restrict):
     op = coupled(7) if case == "nx7" else coupled(8)
     if case == "bumped":
         op = _bumped(op)
-    vals, vecs = spectrum(op, restrict=restrict, with_vectors=True)
+    vals, vecs = spectrum(_on(op, restrict), with_vectors=True)
     assert vecs.shape == (op.shape[0], vals.size)
     assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
     resid = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
@@ -422,8 +426,8 @@ def test_restrict_preserves_mean_zero_action():
 
 def test_gram_projector_is_orthogonal_onto_mean_zero():
     op = restrict_Xm(coupled(6))
-    gram = _weight_gram(op, "l2")
-    project = _gram_maps(op, "l2")[2]
+    gram = _weight_gram(op)
+    project = _gram_maps(op)[2]
     cons = constraint_functionals(op.layout, op.params)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
@@ -434,7 +438,7 @@ def test_gram_projector_is_orthogonal_onto_mean_zero():
     assert np.linalg.norm(project(px) - px) < 1e-12 * scale
     # self-adjoint in the Gram inner product: <P x, y>_G = <x, P y>_G
     assert abs(np.vdot(y, gram @ px) - np.vdot(py, gram @ x)) < 1e-12 * abs(np.vdot(y, gram @ x)) + 1e-12
-    assert _gram_maps(coupled(6), "l2")[2](x) is x
+    assert _gram_maps(coupled(6))[2](x) is x
 
 
 # ---------------- energy dissipation
@@ -507,10 +511,18 @@ def test_zero_point_solution_properties():
     assert np.linalg.norm(resid) / np.linalg.norm(rhs) < 1e-8
 
 
-def test_zero_point_matches_deflated_direct_solve():
-    # direct reference without the cascade: the bordered system
-    # [[-A, K], [C, 0]] [x; s] = [rhs; 0] pins C x = 0 through the kernel K
-    op = coupled(6)
+@pytest.mark.parametrize(
+    "H, nx, ny, params",
+    [
+        pytest.param(1.0, 6, 6, default_params(), id="default"),
+        pytest.param(1.0, 6, 6, default_params(mu=0.3, alpha=0.7, rho_bar=2.0, pi0=-2.0), id="off-default"),
+        pytest.param(0.5, 12, 17, default_params(), id="H0.5-12x17"),
+    ],
+)
+def test_zero_point_matches_deflated_direct_solve(H, nx, ny, params):
+    # dense reference: the bordered system [[-A, K], [C, 0]] [x; s] = [rhs; 0]
+    # pins C x = 0 through the kernel K
+    op = assemble_coupled(build_grid(1.0, H, nx, ny), params)
     rng = np.random.default_rng(10)
     rhs = project_mean_zero(op, random_vec(op.layout, rng))
     kern = kernel_vectors(op.layout, op.params)
@@ -520,21 +532,6 @@ def test_zero_point_matches_deflated_direct_solve():
     for target in (op, restrict_Xm(op)):
         x = resolvent_solve(target, 0.0, rhs)
         assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
-
-
-def test_bending_plus_mean_coupling_is_nonsingular():
-    grid = unit_grid(8)
-    params = default_params()
-    ops = grid.ops
-    m = grid.nx - 1
-    gain = params.R0 * params.theta_bar * params.rho_bar / grid.area
-    mat = ops.bih_clamped + gain * np.outer(
-        np.ones(m), grid.beam_weights[1:-1]
-    )
-    rng = np.random.default_rng(12)
-    b = rng.standard_normal(m)
-    x = np.linalg.solve(mat, b)
-    assert np.linalg.norm(mat @ x - b) < 1e-8 * np.linalg.norm(b)
 
 
 def test_spectral_point_inside_spectrum_rejected():
@@ -591,7 +588,7 @@ def _dense_projected_norms(op, lambdas, gamma=0.0, seed=0, iters=30):
     (lam + gamma) I - A, a dense Gram-orthogonal projector onto {C x = 0},
     and the seeded power iteration of the scan."""
     size = op.shape[0]
-    gram = _weight_gram(op, "l2").toarray().astype(complex)
+    gram = _weight_gram(op).toarray().astype(complex)
     cons = constraint_functionals(op.layout, op.params)
     ginv_ct = np.linalg.solve(gram, cons.T)
     proj = np.eye(size) - ginv_ct @ np.linalg.solve(cons @ ginv_ct, cons)
@@ -647,15 +644,6 @@ def test_sector_bound_stable_under_refinement():
         defl = restrict_Xm(coupled(n))
         vals.append(sector_scan(defl, BETA, [1e-2, 1.0, 1e2]).m_hat)
     assert abs(vals[0] - vals[1]) / vals[0] < 0.25
-
-
-def test_density_norm_variants():
-    defl = restrict_Xm(coupled(6))
-    m_l2 = sector_scan(defl, BETA, [1.0, 1e2], rho_norm="l2").m_hat
-    m_h1 = sector_scan(defl, BETA, [1.0, 1e2], rho_norm="h1").m_hat
-    assert np.isfinite(m_l2) and np.isfinite(m_h1)
-    with pytest.raises(ConfigError):
-        sector_scan(defl, BETA, [1.0], rho_norm="l3")
 
 
 def test_sector_scan_input_validation():

@@ -553,6 +553,11 @@ def test_manufactured_rejects_unknown_ids():
         manufactured_convergence("advection", "sin-product", (8, 16))
     with pytest.raises(ConfigError):
         manufactured_convergence("heat", "sin-product", (8, 16), mode="sideways")
+    # too few resolutions for one order: the mean order would be nan
+    with pytest.raises(ConfigError, match="at least 2"):
+        manufactured_convergence("heat", "sin-product", (8,))
+    with pytest.raises(ConfigError, match="at least 3"):
+        manufactured_convergence("plate", "clamped-poly", (16, 32), mode="temporal")
 
 
 def test_convergence_report_mean_order():
