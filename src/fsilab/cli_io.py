@@ -534,7 +534,8 @@ def _drive_sector(cfg: RunConfig, out: pathlib.Path):
     tables = ()
     message = (
         f"half-opening {cfg.beta:g} rad, shift gamma = {gamma:g}, "
-        f"peak scaled resolvent norm {scan.m_hat:.4f}"
+        f"peak scaled resolvent norm {scan.m_hat:.4f}; largest last-step "
+        f"relative change of the power iteration {scan.changes.max(initial=0.0):.2e}"
     )
     return checks, tables, message, ""
 

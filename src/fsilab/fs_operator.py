@@ -651,7 +651,12 @@ def resolvent_solve(op: OperatorMatrix, lam: complex, rhs: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class SectorScanResult:
-    """Scaled resolvent norms sampled over a sector of opening 2*beta."""
+    """Scaled resolvent norms sampled over a sector of opening 2*beta.
+
+    `lambdas` lie in the closed upper half plane; each value stands for
+    its conjugate too.  `changes` holds each sample's relative change of
+    the power iteration's last step, `fills` the L + U nonzeros of its
+    factor."""
 
     beta: float
     gamma: float
@@ -659,6 +664,8 @@ class SectorScanResult:
     values: np.ndarray
     m_hat: float
     singular: tuple
+    changes: np.ndarray
+    fills: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -684,28 +691,35 @@ def _weight_gram(op: OperatorMatrix) -> sp.csr_matrix:
 
 
 def _gram_maps(op: OperatorMatrix):
-    """(apply, solve, project) of the scan's norm.
+    """(split, blocks, apply, solve, project): the scan's coordinates and norm.
 
-    `apply` and `solve` multiply and divide by the Gram matrix G; a
-    non-diagonal G is factored here, once per scan.  On a mean-zero
-    operator `project` is the G-orthogonal projector
+    The scan works in the block coordinates of `MirrorBlocks(op)`, with
+    block basis L: `split` takes a state there, and `blocks` is A there,
+    block diagonal (one block when A does not commute with the mirror).
+    The norm's Gram matrix G and the constraint functionals C move over by
+    congruence, to L^T G L and C L, so norms and constraints of states
+    are unchanged.  `apply` and `solve` multiply and divide by L^T G L; a
+    non-diagonal one is factored here, once per scan.  On a mean-zero
+    operator `project` is the Gram-orthogonal projector
     I - G^{-1} C^T (C G^{-1} C^T)^{-1} C onto {C x = 0}, so that the scan
     measures the norm of the restriction exactly; elsewhere it is the
     identity.
     """
-    gram = _weight_gram(op)
+    mirror = MirrorBlocks(op)
+    gram = (mirror.basis.T @ _weight_gram(op) @ mirror.basis).tocsr()
     diag = gram.diagonal()
     if gram.nnz == np.count_nonzero(diag):
         apply, solve = (lambda z: diag * z), (lambda z: z / diag)
     else:
         glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
         apply, solve = (lambda z: gram @ z), glu.solve
+    maps = (mirror.split, mirror.block_diagonal(op.matrix), apply, solve)
     if op.domain != "mean_zero":
-        return apply, solve, lambda z: z
-    cons = constraint_functionals(op.layout, op.params)
+        return maps + (lambda z: z,)
+    cons = (mirror.basis.T @ constraint_functionals(op.layout, op.params).T).T
     ginv_ct = np.column_stack([solve(c.astype(complex)) for c in cons])
     lift = ginv_ct @ np.linalg.inv(cons @ ginv_ct)
-    return apply, solve, lambda z: z - lift @ (cons @ z)
+    return maps + (lambda z: z - lift @ (cons @ z),)
 
 
 def _scaled_resolvent_norm(
@@ -714,31 +728,35 @@ def _scaled_resolvent_norm(
     gram_maps,
     rng: np.random.Generator,
     gamma: float,
-) -> float:
+) -> tuple[float, float, int]:
     """||lam (lam I - (A - gamma))^{-1} P|| in the quadrature norm via power
-    iteration on the weighted normal operator; `gram_maps` is
-    `_gram_maps(op)` and P its projector.  The shift is folded
-    into the factored lam + gamma, so no shifted copy of A is made."""
+    iteration on the weighted normal operator, with the last step's
+    relative change and the factor's L + U nonzeros; `gram_maps` is
+    `_gram_maps(op)` and P its projector.  The shift is folded into the
+    factored lam + gamma, so no shifted copy of A is made."""
     n = op.shape[0]
-    mat = ((lam + gamma) * sp.identity(n, format="csr") - op.matrix).tocsc().astype(complex)
-    solve = _splu(mat, f"sector sample at {lam + gamma}").solve
-    w_apply, w_solve, project = gram_maps
+    split, blocks, w_apply, w_solve, project = gram_maps
+    mat = ((lam + gamma) * sp.identity(n, format="csc") - blocks).astype(complex)
+    lu = _splu(mat, f"sector sample at {lam + gamma}")
 
     # power iteration on the weighted normal operator (R P)* R P; the
     # iterate stays in the range of P, which R leaves invariant, and the
     # singular value estimate is ||R x|| for the current unit-norm iterate
-    x = project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = project(split(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     x /= np.sqrt(np.real(np.vdot(x, w_apply(x))))
-    value = 0.0
-    for _ in range(POWER_ITERS):
-        y = solve(x)
-        value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
-        z = project(w_solve(solve(w_apply(y), trans="H")))
+    y = lu.solve(x)
+    rel = np.linalg.norm(mat @ y - x) / np.linalg.norm(x)
+    if not rel <= RESOLVENT_RTOL:
+        raise NumericsError(f"sector sample at {lam}: resolvent residual {rel:.3e} exceeds {RESOLVENT_RTOL:.1e}")
+    value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
+    for _ in range(POWER_ITERS - 1):
+        z = project(w_solve(lu.solve(w_apply(y), trans="H")))
         nrm = np.sqrt(abs(np.real(np.vdot(z, w_apply(z)))))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericsError(f"power iteration collapsed at {lam}")
-        x = z / nrm
-    return abs(lam) * value
+        y = lu.solve(z / nrm)
+        last, value = value, np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
+    return abs(lam) * value, abs(value - last) / value, lu.L.nnz + lu.U.nnz
 
 
 def sector_scan(
@@ -751,10 +769,17 @@ def sector_scan(
     """Sample ||lam (lam I - (A - gamma))^{-1}|| over rays of the sector
     |arg lam| < beta and report the maximum.
 
+    A and the Gram matrix are real, so the value at conj(lam) is the
+    conjugate computation of the value at lam: the rays 0, beta/2 and
+    beta - ANGLE_MARGIN of the closed upper half are computed, and each
+    stands for its conjugate below the real axis.  Each sample factors
+    (lam + gamma) I - A in the even/odd block coordinates of
+    `MirrorBlocks`, two half-size blocks for a mirror-symmetric operator.
     Norms are quadrature-weighted Euclidean proxies for the function-space
     norms; the scalar maximum stands in for the operator-family bound.  On
     a mean-zero operator they are norms of the restriction to {C x = 0}.
-    Samples where the factorization fails are collected in `singular`
+    Samples where the factorization fails, or whose first solve misses
+    RESOLVENT_RTOL, are collected in `singular` with their conjugates
     instead of aborting the scan.
     """
     if not 0 < beta < np.pi:
@@ -767,32 +792,24 @@ def sector_scan(
     rng = np.random.default_rng(seed)
     gram_maps = _gram_maps(op)
     angles = [0.0, beta / 2.0, max(beta - ANGLE_MARGIN, beta * 0.5)]
-    lambdas = []
-    for r in radii:
-        for phi in angles:
-            lambdas.append(r * np.exp(1j * phi))
-            if phi > 0:
-                lambdas.append(r * np.exp(-1j * phi))
-    values = []
-    kept = []
-    singular = []
-    for lam in lambdas:
+    rows, kept, singular = [], [], []
+    for lam in (r * np.exp(1j * phi) for r in radii for phi in angles):
         try:
-            val = _scaled_resolvent_norm(op, lam, gram_maps, rng, gamma)
+            rows.append(_scaled_resolvent_norm(op, lam, gram_maps, rng, gamma))
         except NumericsError:
-            singular.append(lam)
+            singular += [lam] if lam.imag == 0 else [lam, lam.conjugate()]
             continue
         kept.append(lam)
-        values.append(val)
-    values = np.asarray(values)
-    m_hat = float(values.max()) if values.size else float("inf")
+    values, changes, fills = np.reshape(rows, (-1, 3)).T
     return SectorScanResult(
         beta=beta,
         gamma=gamma,
         lambdas=np.asarray(kept),
         values=values,
-        m_hat=m_hat,
+        m_hat=float(values.max()) if values.size else float("inf"),
         singular=tuple(singular),
+        changes=changes,
+        fills=fills.astype(int),
     )
 
 

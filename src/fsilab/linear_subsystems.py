@@ -273,13 +273,21 @@ def _aniso_diffusion(grid: Grid2D, K: np.ndarray) -> sp.csr_matrix:
     Equal-index terms use the compact conservative stencil, mixed terms
     the composition of centered first differences. Rows at boundary
     nodes are incomplete by construction and must be overwritten by
-    whatever constraint the caller imposes there.
+    whatever constraint the caller imposes there. A term whose
+    coefficient vanishes everywhere (the mixed terms of an identity
+    metric) is skipped; adding it would change no entry.
     """
     Dx, Dy = grid.ops.Dx, grid.ops.Dy
-    m = _flux_second_difference(grid, K[..., 0, 0], 0)
-    m = m + _flux_second_difference(grid, K[..., 1, 1], 1)
-    m = m + Dx @ sp.diags(K[..., 0, 1].ravel()) @ Dy
-    m = m + Dy @ sp.diags(K[..., 1, 0].ravel()) @ Dx
+    terms = (
+        (K[..., 0, 0], lambda k: _flux_second_difference(grid, k, 0)),
+        (K[..., 1, 1], lambda k: _flux_second_difference(grid, k, 1)),
+        (K[..., 0, 1], lambda k: Dx @ sp.diags(k.ravel()) @ Dy),
+        (K[..., 1, 0], lambda k: Dy @ sp.diags(k.ravel()) @ Dx),
+    )
+    m = sp.csr_matrix((grid.n_nodes, grid.n_nodes))
+    for k, term in terms:
+        if np.any(k):
+            m = m + term(k)
     return m.tocsr()
 
 
@@ -399,12 +407,17 @@ def _splu(M: sp.spmatrix, what: str):
 
     One ordering rule for every factor: minimum degree on the pattern of
     M^T + M in SuperLU's symmetric mode, pivoting off the diagonal only
-    when it falls under a tenth of its column's largest entry. The
+    when it falls under a hundredth of its column's largest entry. The
     matrices here are structurally symmetric or nearly so, and get about
-    half the fill of SuperLU's default column ordering (COLAMD).
+    half the fill of SuperLU's default column ordering (COLAMD). Near
+    lam = 0 the density diagonal of lam I - A falls under a tenth of its
+    pressure-gradient column on fine grids; a threshold of 0.1 pivots
+    there and loses the ordering (six times the fill at nx64). Resolvent
+    solves and sector samples check their residuals, so a small pivot
+    cannot pass unnoticed there.
     """
     try:
-        return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
     except RuntimeError as e:
         raise NumericsError(f"{what} factorization failed: {e}") from e
 

@@ -33,8 +33,9 @@ class MirrorBlocks:
     (the centre column) gives e_k to the block of its sign.  P is the
     identity on `rows`, so mat[rows] @ P is an exact similarity block of
     any csr mat that commutes with R.  Otherwise one block holds all of A,
-    through the same code.  The columns are orthogonal: states split by
-    P^T scaled with 1/|column|^2 and lift back by P.
+    through the same code.  `basis` stacks the blocks' P side by side; its
+    columns are orthogonal: states split by basis^T scaled with
+    1/|column|^2 and lift back by basis.
     """
 
     def __init__(self, op):
@@ -55,8 +56,8 @@ class MirrorBlocks:
             if rows.size:
                 bases.append((rows, sp.csr_matrix((entries, at), shape=(n, rows.size))))
         self.bases = bases
-        self._lift = sp.hstack([basis for _, basis in bases], format="csr")
-        self._split = (sp.diags(1.0 / self._lift.power(2).sum(axis=0).A1) @ self._lift.T).tocsr()
+        self.basis = sp.hstack([basis for _, basis in bases], format="csr")
+        self._split = (sp.diags(1.0 / self.basis.power(2).sum(axis=0).A1) @ self.basis.T).tocsr()
 
     def block_diagonal(self, mat: sp.spmatrix) -> sp.csc_matrix:
         """mat on the block coordinates; mat must commute with the mirror."""
@@ -68,4 +69,4 @@ class MirrorBlocks:
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         """States of block coordinates, one or a stack (nt, n); C-contiguous."""
-        return np.ascontiguousarray((self._lift @ np.asarray(coords).T).T)
+        return np.ascontiguousarray((self.basis @ np.asarray(coords).T).T)

@@ -371,7 +371,10 @@ def test_sector_mode_artifacts(tmp_path):
     report = run_scenario(cfg)
     assert report.passed
     assert "gamma" in report.message
-    assert (tmp_path / "sector.csv").exists()
+    assert "largest last-step relative change" in (tmp_path / "report.txt").read_text()
+    # three rays of the closed upper half at four radii
+    rows = np.loadtxt(tmp_path / "sector.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (12, 3) and np.all(rows[:, 1] >= 0)
 
 
 def test_convergence_mode_orders(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -425,9 +426,12 @@ def test_restrict_preserves_mean_zero_action():
 
 
 def test_gram_projector_is_orthogonal_onto_mean_zero():
+    # the scan projects in mirror block coordinates; lifted back, that is
+    # the projector of the full coordinates
     op = restrict_Xm(coupled(6))
     gram = _weight_gram(op)
-    project = _gram_maps(op)[2]
+    split, *_, project_blocks = _gram_maps(op)
+    project = lambda z: MirrorBlocks(op).lift(project_blocks(split(z)))
     cons = constraint_functionals(op.layout, op.params)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
@@ -438,7 +442,7 @@ def test_gram_projector_is_orthogonal_onto_mean_zero():
     assert np.linalg.norm(project(px) - px) < 1e-12 * scale
     # self-adjoint in the Gram inner product: <P x, y>_G = <x, P y>_G
     assert abs(np.vdot(y, gram @ px) - np.vdot(py, gram @ x)) < 1e-12 * abs(np.vdot(y, gram @ x)) + 1e-12
-    assert _gram_maps(coupled(6))[2](x) is x
+    assert _gram_maps(coupled(6))[4](x) is x
 
 
 # ---------------- energy dissipation
@@ -583,31 +587,42 @@ def test_sector_rim_is_a_power_of_ten_past_the_spectrum():
     assert 10.0 * top <= sector_rim(op) < 100.0 * top
 
 
-def _dense_projected_norms(op, lambdas, gamma=0.0, seed=0, iters=30):
-    """Sector norms on the mean-zero subspace from dense algebra: the dense
-    (lam + gamma) I - A, a dense Gram-orthogonal projector onto {C x = 0},
-    and the seeded power iteration of the scan."""
+def _dense_reference(op, gamma=0.0, iters=30):
+    """The scan's seeded power iteration from dense algebra, as a function
+    of (lam, start vector): the dense (lam + gamma) I - A in full
+    coordinates, and on a mean-zero operator a dense Gram-orthogonal
+    projector onto {C x = 0}."""
     size = op.shape[0]
     gram = _weight_gram(op).toarray().astype(complex)
-    cons = constraint_functionals(op.layout, op.params)
-    ginv_ct = np.linalg.solve(gram, cons.T)
-    proj = np.eye(size) - ginv_ct @ np.linalg.solve(cons @ ginv_ct, cons)
+    proj = np.eye(size)
+    if op.domain == "mean_zero":
+        cons = constraint_functionals(op.layout, op.params)
+        ginv_ct = np.linalg.solve(gram, cons.T)
+        proj = proj - ginv_ct @ np.linalg.solve(cons @ ginv_ct, cons)
     # P G^{-1}, the adjoint half-step of the power iteration
     proj_ginv = proj @ np.linalg.inv(gram)
     dense = op.matrix.toarray()
-    rng = np.random.default_rng(seed)
-    out = []
-    for lam in lambdas:
+
+    def norm(lam, start):
         factor = la.lu_factor((lam + gamma) * np.eye(size) - dense)
-        x = proj @ (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        x = proj @ start
         x /= np.sqrt(np.real(np.vdot(x, gram @ x)))
         for _ in range(iters):
             y = la.lu_solve(factor, x)
             value = np.sqrt(abs(np.real(np.vdot(y, gram @ y))))
             z = proj_ginv @ la.lu_solve(factor, gram @ y, trans=2)
             x = z / np.sqrt(abs(np.real(np.vdot(z, gram @ z))))
-        out.append(abs(lam) * value)
-    return np.array(out)
+        return abs(lam) * value
+
+    return norm
+
+
+def _dense_projected_norms(op, lambdas, gamma=0.0, seed=0, iters=30):
+    """Sector norms from `_dense_reference`, with the scan's start vectors."""
+    norm = _dense_reference(op, gamma, iters)
+    rng = np.random.default_rng(seed)
+    size = op.shape[0]
+    return np.array([norm(lam, rng.standard_normal(size) + 1j * rng.standard_normal(size)) for lam in lambdas])
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -623,12 +638,88 @@ def test_sector_woodbury_matches_filled_factor(n, monkeypatch):
     monkeypatch.setattr(fs_operator, "_splu", recording)
     scan = sector_scan(defl, 2.356, [1e-2, 1.0, 1e2, 1e4], seed=0)
     monkeypatch.undo()
-    assert scan.singular == () and scan.values.size == 20
+    # three rays of the closed upper half at four radii
+    assert scan.singular == () and scan.values.size == 12
+    assert np.all(scan.lambdas.imag >= 0)
     # one Gram factor, then one factor of the sparse lam I - A per sample
-    assert len(factored) == 21
+    assert len(factored) == 13
     assert max(factored) <= defl.matrix.nnz + defl.shape[0]
+    # each sample reports its last power step's relative change and its fill
+    assert np.all((scan.changes >= 0) & (scan.changes < 1e-2))
+    assert scan.fills.shape == (12,) and np.all(scan.fills >= defl.shape[0])
     ref = _dense_projected_norms(defl, scan.lambdas)
     assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
+
+
+@pytest.mark.parametrize("lam", [1e-2 * np.exp(1.178j), 1e2 * np.exp(2.306j)], ids=["inner", "outer"])
+def test_conjugate_sample_is_the_conjugate_computation(lam):
+    # A, G and P are real: at conj(lam) with the conjugated start vector
+    # every iterate is conjugated, so the scan needs the upper half only
+    defl = restrict_Xm(coupled(8))
+    norm = _dense_reference(defl)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(defl.shape[0]) + 1j * rng.standard_normal(defl.shape[0])
+    value = norm(lam, x)
+    assert abs(norm(np.conj(lam), np.conj(x)) - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("which", ["plate", "toy", "coupled-one-block"])
+def test_non_mirror_operators_keep_their_values(which, monkeypatch):
+    # operators without a certified mirror run as one block through the
+    # same code, and match the full-coordinate reference
+    if which == "plate":
+        op = assemble_block(unit_grid(8), default_params(), "plate")
+    elif which == "toy":
+        op = OperatorMatrix(
+            matrix=sp.csr_matrix(np.array([[-1.0, 3.0], [0.0, -2.0]])),
+            domain="full",
+            weights=np.array([1.0, 0.5]),
+            label="toy",
+        )
+    else:
+        op = restrict_Xm(coupled(8))
+        monkeypatch.setattr(fs_operator, "MirrorBlocks", lambda o: MirrorBlocks(dataclasses.replace(o, layout=None)))
+    assert len(fs_operator.MirrorBlocks(op).bases) == 1
+    scan = sector_scan(op, 2.356, [1e-2, 1.0, 1e2], seed=4)
+    ref = _dense_projected_norms(op, scan.lambdas, seed=4)
+    assert scan.values.size == 9
+    assert np.all(np.abs(scan.values - ref) <= 1e-10 * ref)
+
+
+def test_singular_sample_counts_its_conjugate():
+    # a rotation whose eigenvalues exp(+-i beta/2) sit on the middle rays
+    c, s = np.cos(BETA / 2.0), np.sin(BETA / 2.0)
+    toy = OperatorMatrix(
+        matrix=sp.csr_matrix(np.array([[c, -s], [s, c]])),
+        domain="full",
+        weights=np.ones(2),
+        label="toy",
+    )
+    scan = sector_scan(toy, BETA, [1.0])
+    lam = np.exp(1j * BETA / 2.0)
+    assert scan.values.size == 2
+    assert np.allclose(sorted(scan.singular, key=np.imag), [np.conj(lam), lam], rtol=0, atol=1e-15)
+
+
+def test_sector_residual_guard_names_the_sample(monkeypatch):
+    defl = restrict_Xm(coupled(6))
+    monkeypatch.setattr(fs_operator, "RESOLVENT_RTOL", 0.0)
+    lam = 1.0 * np.exp(0.5j)
+    with pytest.raises(NumericsError, match=re.escape(f"sector sample at {lam}")):
+        fs_operator._scaled_resolvent_norm(defl, lam, _gram_maps(defl), np.random.default_rng(0), 0.0)
+    # the scan collects the failure as a singular sample, with its conjugate
+    scan = sector_scan(defl, BETA, [1.0])
+    assert scan.values.size == 0 and len(scan.singular) == 5 and not scan.passed
+
+
+def test_sector_factor_fill_stays_flat_near_zero():
+    # nx48 is the coarsest grid where a pivot threshold of 0.1 pivots off
+    # the density diagonal near lam = 0: it doubles the fill there (2.45 M
+    # against 1.22 M at lam = 1), and the ordering is lost
+    defl = restrict_Xm(coupled(48))
+    scan = sector_scan(defl, BETA, [1e-2, 1.0])
+    inner = np.abs(scan.lambdas) < 0.1
+    assert scan.fills[inner].max() <= 1.1 * scan.fills[~inner].min()
 
 
 def test_sector_woodbury_carries_gamma_shift():

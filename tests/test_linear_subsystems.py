@@ -413,6 +413,35 @@ def test_lift_interior_residual_small():
     assert np.max(np.abs(res)) / scale < 1e-10
 
 
+def _every_aniso_term(grid, K):
+    """_aniso_diffusion summing all four terms, zero coefficients too."""
+    from fsilab.linear_subsystems import _flux_second_difference
+
+    Dx, Dy = grid.ops.Dx, grid.ops.Dy
+    m = _flux_second_difference(grid, K[..., 0, 0], 0)
+    m = m + _flux_second_difference(grid, K[..., 1, 1], 1)
+    m = m + Dx @ sp.diags(K[..., 0, 1].ravel()) @ Dy
+    m = m + Dy @ sp.diags(K[..., 1, 0].ravel()) @ Dx
+    return m.tocsr()
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_skipping_zero_metric_terms_keeps_every_entry(n, monkeypatch):
+    import fsilab.linear_subsystems as ls
+    from fsilab.fs_operator import assemble_coupled
+
+    g = unit_grid(n)
+    p = PhysParams(mu=0.3, alpha=0.7, rho_bar=2.0, pi0=-2.0)
+    skipped = assemble_coupled(g, p).matrix
+    mets = bent_metrics(g)
+    bent = _viscous_operator(g, mets, p)
+    monkeypatch.setattr(ls, "_aniso_diffusion", _every_aniso_term)
+    every = assemble_coupled(g, p).matrix
+    assert skipped.nnz == every.nnz and (skipped != every).nnz == 0
+    # a deformed map has no identically zero coefficient: nothing skipped
+    assert (bent != _viscous_operator(g, mets, p)).nnz == 0
+
+
 def test_lift_requires_global_mode():
     g = unit_grid(12)
     e2 = BeamField(g, np.zeros(g.nx + 1), clamped=True)

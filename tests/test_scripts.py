@@ -22,9 +22,10 @@ def run_script(name, *args, cwd):
 @pytest.mark.parametrize(
     "name, args",
     [
-        pytest.param(name, args, id=name)
+        pytest.param(name, args, id=name + "".join(a for a in args if a.startswith("--sector")))
         for name, args in (
             ("spectrum_scan.py", ["--sizes", "6"]),
+            ("spectrum_scan.py", ["--sector", "2.356", "--sizes", "6"]),
             ("convergence_table.py", ["--spatial", "8", "16", "--temporal", "16", "32", "64"]),
             ("decay_study.py", ["--nx", "6", "--t-max", "2", "--dt", "0.1", "--amplitudes", "1e-2", "5e-3"]),
             ("existence_horizon.py", ["--nx", "6", "--rounds", "1"]),
