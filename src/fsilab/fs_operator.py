@@ -59,6 +59,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .core_grid import BeamField, FluidField, Grid2D, _stencil_matrix
 from .errors import ConfigError, NumericsError
@@ -518,10 +519,15 @@ def spectrum(op: OperatorMatrix, with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part, ties by descending
     imaginary part (a conjugate pair lists +Im first).
 
-    Each block of `MirrorBlocks` gets its own dense eigensolve: two
-    half-size blocks for an operator certified to commute with the mirror
-    x -> L - x, else one block holding all of A.  Eigenvectors are lifted
-    through the block bases and normalised to unit length.
+    Each block of `MirrorBlocks` (two half-size blocks for an operator
+    certified to commute with the mirror x -> L - x, else all of A) stays
+    sparse: its eigenvalues are those of its principal submatrices on the
+    strong components of its nonzero pattern, each made dense for its own
+    eigensolve.  On the coupled generator these are the temperature
+    unknowns, which no other unknown feeds, and the rest.  With
+    `with_vectors` each block gets one dense `la.eig`, as eigenvectors are
+    not local to the components; they are lifted through the block bases
+    and normalised to unit length.
 
     The domain tag is the only switch: on a mean-zero operator
     (`restrict_Xm`) the two eigenvalues of smallest modulus, the kernel of
@@ -535,12 +541,14 @@ def spectrum(op: OperatorMatrix, with_vectors: bool = False):
         )
     vals, vecs = [], []
     for rows, basis in MirrorBlocks(op).bases:
-        block = (op.matrix[rows] @ basis).toarray()
+        block = op.matrix[rows] @ basis  # stores no zeros, which would join components
         if with_vectors:
-            w, v = la.eig(block)
+            w, v = la.eig(block.toarray())
             vecs.append(basis @ v)
         else:
-            w = la.eigvals(block)
+            count, labels = csgraph.connected_components(block, directed=True, connection="strong")
+            parts = (np.flatnonzero(labels == c) for c in range(count))
+            w = np.concatenate([la.eigvals(block[part][:, part].toarray()) for part in parts])
         vals.append(w)
     vals = np.concatenate(vals)
     keep = np.arange(vals.size)
@@ -771,8 +779,9 @@ def sector_scan(
 
     A and the Gram matrix are real, so the value at conj(lam) is the
     conjugate computation of the value at lam: the rays 0, beta/2 and
-    beta - ANGLE_MARGIN of the closed upper half are computed, and each
-    stands for its conjugate below the real axis.  Each sample factors
+    beta - ANGLE_MARGIN of the closed upper half are computed (the last
+    falls back to beta/2, sampled once, when beta <= 2 ANGLE_MARGIN), and
+    each stands for its conjugate below the real axis.  Each sample factors
     (lam + gamma) I - A in the even/odd block coordinates of
     `MirrorBlocks`, two half-size blocks for a mirror-symmetric operator.
     Norms are quadrature-weighted Euclidean proxies for the function-space
@@ -791,7 +800,7 @@ def sector_scan(
         raise ConfigError("sector scan needs positive sample radii")
     rng = np.random.default_rng(seed)
     gram_maps = _gram_maps(op)
-    angles = [0.0, beta / 2.0, max(beta - ANGLE_MARGIN, beta * 0.5)]
+    angles = dict.fromkeys([0.0, beta / 2.0, max(beta - ANGLE_MARGIN, beta * 0.5)])
     rows, kept, singular = [], [], []
     for lam in (r * np.exp(1j * phi) for r in radii for phi in angles):
         try:

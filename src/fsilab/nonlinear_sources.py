@@ -332,8 +332,8 @@ def eval_global_sources(
     slope = ops.beam_dx(state.eta1.values)
     S_top = S[..., -1, :, :]
     dX_top = dX[..., -1]
-    Dv_top = 0.5 * (gv + gvT)[..., -1, :, :]
-    bracket = (1.0 / dX_top) * (S_top[..., 1, 0] * (-slope) + S_top[..., 1, 1]) - 2.0 * params.mu * Dv_top[..., 1, 1]
+    # the symmetric part's (1, 1) entry, 0.5 (gv + gv^T)[1, 1], is gv[1, 1] exactly
+    bracket = (1.0 / dX_top) * (S_top[..., 1, 0] * (-slope) + S_top[..., 1, 1]) - 2.0 * params.mu * gv[..., -1, 1, 1]
     leading = -params.mu * bracket - params.alpha * _colon(metric_gap, gv)[..., -1]
 
     rho_split = rho_split or split_mean(state.rho)

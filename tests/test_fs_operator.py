@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from fsilab.core_grid import build_grid
 from fsilab.errors import ConfigError, NumericsError
@@ -362,6 +363,83 @@ def test_split_spectrum_equals_dense_eigenvalues(H, nx, ny, restrict):
     vals = spectrum(_on(op, restrict))
     assert vals.size == ref.size
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("H, nx, ny", [(1.0, 8, 8), (0.5, 12, 17)])
+def test_mean_zero_spectrum_meets_the_artifact_contract(H, nx, ny):
+    # what the benchmark checks on eigenvalues.csv: dim - 2 values, closed
+    # under conjugation, summing to the trace, in the open left half-plane
+    op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
+    vals = spectrum(restrict_Xm(op))
+    dim = 2 * (nx + 1) * (ny + 1) + 2 * (nx - 1) * (ny - 1) + 2 * (nx - 1)
+    assert op.shape[0] == dim and vals.size == dim - 2
+    scale = np.abs(vals).max()
+    assert np.abs(np.sort_complex(vals) - np.sort_complex(vals.conj())).max() <= 1e-9 * scale
+    trace = op.matrix.diagonal().sum()
+    assert abs(vals.sum() - trace) <= 1e-10 * abs(trace)
+    assert vals.real.max() < 0.0
+
+
+def _strong_components(block):
+    count, labels = csgraph.connected_components(block, directed=True, connection="strong")
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
+def _eigvals_sizes(monkeypatch):
+    """Record the dimension of every dense eigenvalue solve."""
+    sizes, eigvals = [], la.eigvals
+    monkeypatch.setattr(la, "eigvals", lambda a, *args, **kw: sizes.append(a.shape[0]) or eigvals(a, *args, **kw))
+    return sizes
+
+
+@pytest.mark.parametrize("H, nx, ny", MIRROR_GRIDS)
+def test_mirror_blocks_split_into_temperature_and_the_rest(H, nx, ny, monkeypatch):
+    # heat drives momentum and the beam, but nothing feeds back into it
+    op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
+    theta = op.layout.sl_theta
+    want = []
+    for rows, basis in MirrorBlocks(op).bases:
+        parts = _strong_components(op.matrix[rows] @ basis)
+        temperature = np.flatnonzero((rows >= theta.start) & (rows < theta.stop))
+        assert len(parts) == 2
+        assert any(np.array_equal(part, temperature) for part in parts)
+        want += sorted(part.size for part in parts)
+    sizes = _eigvals_sizes(monkeypatch)
+    spectrum(op)
+    assert sorted(sizes) == sorted(want)
+
+
+def test_feedback_into_the_temperature_leaves_one_component(monkeypatch):
+    # one TH <- V entry closes the cycle: the operator is irreducible, and
+    # (no longer mirror-symmetric) it is solved as one dense block
+    op = coupled(8)
+    row, col = op.layout.sl_theta.start + 10, op.layout.sl_vy.start + 3
+    feed = sp.csr_matrix(([1e-3 * abs(op.matrix).max()], ([row], [col])), shape=op.shape)
+    fed = dataclasses.replace(op, matrix=(op.matrix + feed).tocsr())
+    assert len(_strong_components(fed.matrix)) == 1
+    sizes = _eigvals_sizes(monkeypatch)
+    for restrict in ("full", "mean_zero"):
+        ref = _dense_spectrum(fed.matrix, restrict)
+        vals = spectrum(_on(fed, restrict))
+        assert vals.size == ref.size
+        assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert sizes.count(op.shape[0]) == 4 and len(sizes) == 4  # two spectra, two oracles
+
+
+def test_stored_zeros_do_not_merge_components(monkeypatch):
+    op = coupled(8)
+    rows, cols = np.meshgrid(np.arange(op.layout.sl_theta.start, op.layout.sl_theta.stop),
+                             np.arange(op.layout.sl_vx.start, op.layout.sl_vy.stop), indexing="ij")
+    coo = op.matrix.tocoo()
+    stored = sp.csr_matrix((np.concatenate([coo.data, np.zeros(rows.size)]),
+                            (np.concatenate([coo.row, rows.ravel()]), np.concatenate([coo.col, cols.ravel()]))),
+                           shape=op.shape)
+    assert stored.nnz == op.matrix.nnz + rows.size
+    assert len(_strong_components(stored)) == 1  # the raw pattern sees the zeros as edges
+    sizes = _eigvals_sizes(monkeypatch)
+    vals = spectrum(dataclasses.replace(op, matrix=stored))
+    assert len(sizes) == 4
+    assert np.array_equal(vals, spectrum(op))
 
 
 def test_kernel_eigenvalues_lie_in_the_even_block():
@@ -752,6 +830,21 @@ def test_gamma_search_stable_operator_needs_no_shift():
     gamma, result = gamma_search(defl, BETA, [1e-2, 1.0, 1e2])
     assert gamma == 0.0
     assert result.passed
+
+
+def test_narrow_sector_samples_each_ray_once():
+    # beta <= 2 ANGLE_MARGIN: the outer ray falls back to beta/2, kept once
+    toy = OperatorMatrix(
+        matrix=sp.csr_matrix(sp.diags([-1.0, -2.0])),
+        domain="full",
+        weights=np.ones(2),
+        label="toy",
+    )
+    scan = sector_scan(toy, 0.08, [1.0, 10.0])
+    assert scan.passed
+    want = np.array([1.0, np.exp(0.04j), 10.0, 10.0 * np.exp(0.04j)])
+    assert np.array_equal(scan.lambdas, want)
+    assert scan.values.size == scan.changes.size == scan.fills.size == 4
 
 
 def test_gamma_search_moves_off_singular_sample():
