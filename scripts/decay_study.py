@@ -32,20 +32,21 @@ def bump_state(grid, params, a):
     )
 
 
-def component_gap(a, b):
-    return max(
-        np.max(np.abs(a.rho.values - b.rho.values)),
-        np.max(np.abs(a.v.values - b.v.values)),
-        np.max(np.abs(a.theta.values - b.theta.values)),
-        np.max(np.abs(a.eta1.values - b.eta1.values)),
-        np.max(np.abs(a.eta2.values - b.eta2.values)),
+def component_gaps(states, end):
+    """Largest nodewise gap of every sample of a stacked state to the state end."""
+    n = len(states.t)
+    return np.max(
+        [
+            np.max(np.abs(getattr(states, f).values - getattr(end, f).values).reshape(n, -1), axis=1)
+            for f in ("rho", "v", "theta", "eta1", "eta2")
+        ],
+        axis=0,
     )
 
 
 def fitted_rate(traj, t_lo, t_hi):
-    end = traj[-1]
     t = traj.times
-    d = np.array([component_gap(s, end) for s in traj.states])
+    d = component_gaps(traj.states, traj[-1])
     sel = (t >= t_lo) & (t <= t_hi) & (d > 0)
     coeff = np.polyfit(t[sel], np.log(d[sel]), 1)
     resid = np.log(d[sel]) - np.polyval(coeff, t[sel])

@@ -24,7 +24,6 @@ __all__ = [
     "initial_diffeo",
     "update_map",
     "metric_tensors",
-    "map_gradient",
     "build_diffeo",
     "diffeo_series",
     "check_diffeo",
@@ -40,23 +39,20 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Tensor-product C^2 cutoff, 1 in a band around the top edge, 0 near the walls.
+    """Vertical C^2 cutoff, 1 in a band around the top edge, 0 near the bottom wall.
 
-    The vertical profile rises from 0 at eta_minus - ramp to 1 at
-    eta_minus, stays 1 through eta_plus, and falls back to 0 at
-    eta_plus + ramp (the upper ramp only matters above the reference
-    rectangle, where flow trajectories of displaced nodes may travel).
-    An optional horizontal profile vanishes within x_margin of the side
-    walls; the default is identically 1 there because admissible edge
-    displacements vanish at the clamped ends anyway.
+    The profile rises from 0 at eta_minus - ramp to 1 at eta_minus,
+    stays 1 through eta_plus, and falls back to 0 at eta_plus + ramp
+    (the upper ramp only matters above the reference rectangle, where
+    flow trajectories of displaced nodes may travel). It is constant
+    along x: admissible edge displacements vanish at the clamped ends,
+    so the side walls need no horizontal cutoff.
     """
 
     grid: Grid2D
     eta_minus: float
     eta_plus: float
     ramp: float
-    x_margin: float = 0.0
-    x_ramp: float = 0.0
 
     def __post_init__(self):
         if not (-self.grid.H < self.eta_minus < 0.0 < self.eta_plus):
@@ -65,12 +61,6 @@ class CutoffProfile:
             raise ConfigError("ramp width must be positive")
         if self.eta_minus - self.ramp < -self.grid.H:
             raise ConfigError("lower ramp reaches below the bottom wall")
-        if self.x_margin < 0 or self.x_ramp < 0:
-            raise ConfigError("x margins must be nonnegative")
-        if self.x_margin > 0 and self.x_ramp == 0:
-            raise ConfigError("a positive x_margin needs a positive x_ramp")
-        if 2.0 * (self.x_margin + self.x_ramp) >= self.grid.L:
-            raise ConfigError("x margins leave no room for the plateau")
 
     def psi_y(self, y):
         y = np.asarray(y, dtype=float)
@@ -78,39 +68,16 @@ class CutoffProfile:
         fall = 1.0 - _smoothstep((y - self.eta_plus) / self.ramp)
         return rise * fall
 
-    def psi_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.x_ramp == 0:
-            return np.ones_like(x)
-        left = _smoothstep((x - self.x_margin) / self.x_ramp)
-        right = _smoothstep((self.grid.L - x - self.x_margin) / self.x_ramp)
-        return left * right
-
-    def __call__(self, x, y):
-        return self.psi_x(x) * self.psi_y(y)
-
     @cached_property
     def samples(self) -> np.ndarray:
         """Cutoff values at the grid nodes."""
-        return self(self.grid.xx, self.grid.yy)
+        return self.psi_y(self.grid.yy)
 
 
-def build_cutoff(
-    grid: Grid2D,
-    eta_minus: float | None = None,
-    eta_plus: float | None = None,
-    ramp: float | None = None,
-    x_margin: float = 0.0,
-    x_ramp: float = 0.0,
-) -> CutoffProfile:
-    """Cutoff with margins at a quarter of the depth unless overridden."""
-    if eta_minus is None:
-        eta_minus = -0.25 * grid.H
-    if eta_plus is None:
-        eta_plus = 0.25 * grid.H
-    if ramp is None:
-        ramp = 0.25 * grid.H
-    return CutoffProfile(grid, float(eta_minus), float(eta_plus), float(ramp), float(x_margin), float(x_ramp))
+def build_cutoff(grid: Grid2D) -> CutoffProfile:
+    """Cutoff with margins and ramps at a quarter of the depth."""
+    quarter = 0.25 * grid.H
+    return CutoffProfile(grid, -quarter, quarter, quarter)
 
 
 @dataclass(frozen=True)
@@ -152,11 +119,6 @@ class DiffeoCertificate:
     c0: float
     passed: bool
     worst_node: tuple[int, int]
-
-
-def map_gradient(grid: Grid2D, X: np.ndarray) -> np.ndarray:
-    """Centered-difference Jacobian of map samples, one-sided at edges."""
-    return grid.ops.grad_vector(X)
 
 
 def _cof2(g: np.ndarray) -> np.ndarray:
@@ -212,7 +174,7 @@ def metric_tensors(grid: Grid2D, X: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     X may carry a leading time axis. A determinant <= 0 anywhere raises
     the diffeomorphism failure at the first such sample.
     """
-    g = map_gradient(grid, X)
+    g = grid.ops.grad_vector(X)
     B, delta = _cof2(g), _det2(g)
     err = _floor_failure(delta, 0.0)
     if err is not None:
@@ -231,7 +193,7 @@ def diffeo_series(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> tuple[DiffeoM
     X = np.asarray(X, dtype=float)
     if X.ndim != 4 or X.shape[1:] != grid.shape + (2,):
         raise ConfigError(f"map series has shape {X.shape}, expected (nt,) + {grid.shape + (2,)}")
-    gradX = map_gradient(grid, X)
+    gradX = grid.ops.grad_vector(X)
     delta = _det2(gradX)
     err = _floor_failure(delta, c0)
     if err is not None:
@@ -245,7 +207,7 @@ def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
     X = np.asarray(X, dtype=float)
     if X.shape != grid.shape + (2,):
         raise ConfigError(f"map samples have shape {X.shape}, expected {grid.shape + (2,)}")
-    gradX = map_gradient(grid, X)
+    gradX = grid.ops.grad_vector(X)
     B, delta = _cof2(gradX), _det2(gradX)
     err = _floor_failure(delta, c0)
     if err is not None:
@@ -256,7 +218,7 @@ def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
 def initial_diffeo(eta1_0: BeamField, chi: CutoffProfile, n_flow_steps: int = 64) -> DiffeoMap:
     """Flow map flattening the edge displaced by eta1_0 onto the rectangle.
 
-    Integrates the vertical displacement field eta1_0(x) chi(x, y) e2
+    Integrates the vertical displacement field eta1_0(x) chi(y) e2
     from time 0 to 1 with RK4. Trajectories keep their x-coordinate, so
     each column evolves independently; where chi is 1 the flow is the
     exact vertical translation by eta1_0, and outside the support of chi
@@ -273,7 +235,7 @@ def initial_diffeo(eta1_0: BeamField, chi: CutoffProfile, n_flow_steps: int = 64
             f"edge displacement range [{np.min(eta):.3e}, {np.max(eta):.3e}] "
             f"leaves the margin band ({chi.eta_minus:.3e}, {chi.eta_plus:.3e})"
         )
-    c = (eta * chi.psi_x(grid.x))[:, None]
+    c = eta[:, None]
     y2 = np.array(grid.yy, dtype=float)
     dt = 1.0 / n_flow_steps
     for _ in range(n_flow_steps):

@@ -429,10 +429,9 @@ def _mass_balance_drift(traj, params) -> float:
     functional up to exactly the injected density source, so after the
     trapezoid correction the residual sits at the Picard stopping scale.
     """
-    grid = traj.grid
-    states = traj.state_stack
+    grid, states = traj.grid, traj.states
     mass = integrate_fluid(grid, states.rho.values) + params.rho_bar * integrate_beam(grid, states.eta1.values)
-    src = integrate_fluid(grid, _global_density_source(states, traj.map_stack, params)[0])
+    src = integrate_fluid(grid, _global_density_source(states, traj.maps, params)[0])
     injected = _cumtrapz(src, traj.dt)
     return float(np.max(np.abs(mass - mass[0] - injected)))
 

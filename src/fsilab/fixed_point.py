@@ -14,9 +14,7 @@ and every norm carries the exponential weight e^(beta t).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,85 +137,40 @@ class IterationReport:
         return self.status == "converged"
 
 
-class _Samples(Sequence):
-    """Per-sample view of a stacked series; items are built on access."""
-
-    def __init__(self, stack, n: int):
-        self.stack = stack
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"sample {k} out of range for {len(self)} samples")
-        return self.stack.sample(k % len(self))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled states with the map that accompanied each sample.
 
-    states and maps are sequences of per-sample objects. A trajectory
-    built by from_stacks keeps the samples stacked along a leading time
-    axis and builds each per-sample object on access; state_stack and
-    map_stack give the stacked form either way, for evaluations that
-    run once over the whole series.
+    states and maps are stacked along a leading time axis, one sample
+    per time stamp in states.t; traj[k] is the k-th state on its own.
     """
 
-    states: Sequence
-    maps: Sequence
+    states: FullState
+    maps: DiffeoMap
     dt: float
     mode: str
 
     def __post_init__(self):
         if self.mode not in ("local", "global"):
             raise ConfigError(f"unknown trajectory mode {self.mode!r}")
-        if len(self.states) == 0:
-            raise ConfigError("a trajectory needs at least one state")
-        if len(self.maps) != len(self.states):
-            raise ConfigError(f"{len(self.maps)} maps for {len(self.states)} states")
-
-    @staticmethod
-    def from_stacks(states: FullState, maps: DiffeoMap, dt: float, mode: str) -> "Trajectory":
-        """Trajectory over the stacked samples that have a map.
-
-        A failed map rebuild leaves fewer maps than states; the states
-        past the last map are dropped.
-        """
-        n = len(maps.delta)
-        if n < len(states.t):
-            states = states.sample(slice(0, n))
-        return Trajectory(_Samples(states, n), _Samples(maps, n), dt, mode)
+        if np.ndim(self.states.t) != 1 or len(self) == 0:
+            raise ConfigError("a trajectory needs a stack of at least one state")
+        if self.maps.delta.ndim != 3 or len(self.maps.delta) != len(self):
+            raise ConfigError(f"need one stacked map per state, got map shape {self.maps.delta.shape} for {len(self)} states")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.states.t)
 
     def __getitem__(self, n: int) -> FullState:
-        return self.states[n]
+        return self.states.sample(n)
 
     @property
     def grid(self) -> Grid2D:
-        return self.states[0].grid
+        return self.states.grid
 
     @property
     def times(self) -> np.ndarray:
-        return np.array(self.state_stack.t, dtype=float)
-
-    @cached_property
-    def state_stack(self) -> FullState:
-        return _stack_of(self.states, FullState.stack)
-
-    @cached_property
-    def map_stack(self) -> DiffeoMap:
-        return _stack_of(self.maps, DiffeoMap.stack)
-
-
-def _stack_of(samples: Sequence, stack):
-    return samples.stack if isinstance(samples, _Samples) else stack(samples)
+        return self.states.t
 
 
 @dataclass(frozen=True)
@@ -412,15 +365,48 @@ def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: flo
     return states, maps, bundle, report
 
 
-class _LocalEngine:
-    """Frozen-map cascade plus source evaluation for one local run."""
+class _Engine:
+    """What both engines share: the admission checks with the frozen map
+    they yield, and the stacked states and maps of one march."""
+
+    mode: str
 
     def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams):
         self.initial = initial
         self.cfg = cfg
         self.params = params
         self.grid = initial.grid
-        self.X0, self.c0, self.R = _preflight(initial, cfg, params, "local")
+        self.X0, self.c0, self.R = _preflight(initial, cfg, params, self.mode)
+
+    def _stacks(self, rho, v, theta, eta1, eta2, clamped: tuple[bool, bool]):
+        """The marched fields as one stacked state, sample n stamped at
+        initial.t + n dt, and the maps rebuilt from their velocity.
+
+        A map failure keeps only the states that have a map, and returns
+        the failure in the error slot.
+        """
+        grid, dt = self.grid, self.cfg.dt
+        states = FullState(
+            FluidField(grid, rho),
+            FluidField(grid, v, kind="vector"),
+            FluidField(grid, theta),
+            BeamField(grid, eta1, clamped=clamped[0]),
+            BeamField(grid, eta2, clamped=clamped[1]),
+            t=self.initial.t + np.arange(len(rho)) * dt,
+        )
+        maps, err = _maps_from_history(self.X0, v, dt, self.c0)
+        if err is not None:
+            states = states.sample(slice(0, len(maps.delta)))
+        return states, maps, err
+
+
+class _LocalEngine(_Engine):
+    """Frozen-map cascade plus source evaluation for one local run."""
+
+    mode = "local"
+
+    def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams):
+        super().__init__(initial, cfg, params)
         self.rho0 = initial.rho
         self.vstep = VelocityStepper(self.grid, self.X0, self.rho0, params, cfg.dt)
         self.tstep = TemperatureStepper(self.grid, self.X0, self.rho0, params, cfg.dt)
@@ -445,18 +431,7 @@ class _LocalEngine:
             )
             rho_f = FluidField(grid, rho[n + 1])
             e1s[n + 1], e2s[n + 1] = e1.values, e2.values
-        t = np.arange(nt) * dt
-        t[0] = initial.t
-        states = FullState(
-            FluidField(grid, rho),
-            FluidField(grid, v, kind="vector"),
-            FluidField(grid, th),
-            BeamField(grid, e1s, clamped=initial.eta1.clamped),
-            BeamField(grid, e2s, clamped=initial.eta2.clamped),
-            t=t,
-        )
-        maps, err = _maps_from_history(self.X0, v, dt, self.c0)
-        return states, maps, err
+        return self._stacks(rho, v, th, e1s, e2s, (initial.eta1.clamped, initial.eta2.clamped))
 
     def evaluate(self, states: FullState, maps: DiffeoMap) -> SourceBundle:
         dt = self.cfg.dt
@@ -468,7 +443,7 @@ class _LocalEngine:
         return SourceBundle(self.grid, dt, *sources)
 
 
-class _GlobalEngine:
+class _GlobalEngine(_Engine):
     """Split linear march plus perturbation sources for one global run.
 
     The temperature is peeled into a shifted heat solve (carrying f3 and
@@ -488,12 +463,11 @@ class _GlobalEngine:
     lifted once.
     """
 
+    mode = "global"
+
     def __init__(self, initial: FullState, cfg: IterationConfig, params: PhysParams):
-        self.initial = initial
-        self.cfg = cfg
-        self.params = params
-        self.grid = initial.grid
-        self.X0, self.c0, self.R = _preflight(initial, cfg, params, "global")
+        params.require_global()
+        super().__init__(initial, cfg, params)
         op = assemble_coupled(self.grid, params)
         self.layout = op.layout
         self.mirror = MirrorBlocks(op)
@@ -551,16 +525,8 @@ class _GlobalEngine:
             coords[n + 1] = lu.solve(coords[n] / dt + G[n])
 
         rho_c, v_c, th_c, e1, e2 = unpack_fields(layout, self.mirror.lift(coords))
-        states = FullState(
-            FluidField(grid, rho_c + rho_flat[:, None, None]),
-            FluidField(grid, v_c, kind="vector"),
-            FluidField(grid, th_c + th_sharp + th_flat[:, None, None]),
-            BeamField(grid, e1, clamped=True),
-            BeamField(grid, e2, clamped=True),
-            t=np.arange(nt) * dt,
-        )
-        maps, err = _maps_from_history(self.X0, v_c, dt, self.c0)
-        return states, maps, err
+        rho, theta = rho_c + rho_flat[:, None, None], th_c + th_sharp + th_flat[:, None, None]
+        return self._stacks(rho, v_c, theta, e1, e2, (True, True))
 
     def evaluate(self, states: FullState, maps: DiffeoMap) -> SourceBundle:
         dt = self.cfg.dt
@@ -572,11 +538,26 @@ class _GlobalEngine:
         return SourceBundle(self.grid, dt, *sources)
 
 
-def _check_bundle(bundle, nt: int, want_hat: bool):
-    if bundle.nt != nt:
-        raise ConfigError(f"bundle has {bundle.nt} samples, horizon needs {nt}")
+def _start(engine, initial: FullState, cfg: IterationConfig, params: PhysParams | None, bundle: SourceBundle | None):
+    """Start-up shared by the four drivers: the first source bundle,
+    zeros unless given, checked before anything is factored (the global
+    regime's bundle carries the split plate forcing), and the engine,
+    with default parameters unless given."""
+    want_hat = engine.mode == "global"
+    if bundle is None:
+        bundle = SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=want_hat)
+    if bundle.nt != cfg.nt:
+        raise ConfigError(f"bundle has {bundle.nt} samples, horizon needs {cfg.nt}")
     if want_hat and bundle.h_hat is None:
         raise ConfigError("the global iteration needs a bundle with the split plate forcing (h_hat)")
+    return engine(initial, cfg, params if params is not None else default_params()), bundle
+
+
+def _march_once(eng: _Engine, bundle: SourceBundle) -> Trajectory:
+    states, maps, err = eng.march(bundle)
+    if err is not None:
+        raise err
+    return Trajectory(states, maps, eng.cfg.dt, eng.mode)
 
 
 def run_local(
@@ -590,49 +571,42 @@ def run_local(
     Marches the plate, then velocity, temperature and density with all
     coefficients frozen at the initial map, rebuilds the moving map from
     the velocity history and re-evaluates the sources. Stops when the
-    relative bundle update falls under cfg.tol. Returns the trajectory
-    of the last march and the norm history; a ball exit or a Jacobian
-    floor hit ends the loop with the matching status instead of raising.
+    relative bundle update falls under cfg.tol. Returns the stacked
+    trajectory of the last march and the norm history; a ball exit or a
+    Jacobian floor hit ends the loop with the matching status instead
+    of raising, and the trajectory then stops at the last sample whose
+    map cleared the floor.
     """
-    params = params if params is not None else default_params()
-    eng = _LocalEngine(initial, cfg, params)
-    bundle0 = first_bundle if first_bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt)
-    _check_bundle(bundle0, cfg.nt, want_hat=False)
+    eng, bundle0 = _start(_LocalEngine, initial, cfg, params, first_bundle)
     states, maps, _, report = _picard(
         eng.march, eng.evaluate, bundle0, cfg, eng.R, beta=0.0, data_scale=state_norm(initial, cfg.q)
     )
-    traj = Trajectory.from_stacks(states, maps, cfg.dt, "local")
-    return traj, replace(report, state_norms=tuple(state_norm(traj.state_stack, cfg.q)))
+    traj = Trajectory(states, maps, cfg.dt, "local")
+    return traj, replace(report, state_norms=tuple(state_norm(states, cfg.q)))
 
 
 def run_global(
     initial: FullState,
     cfg: IterationConfig,
     params: PhysParams | None = None,
-    t_max: float | None = None,
     first_bundle: SourceBundle | None = None,
 ):
     """Picard construction around the decaying linearisation.
 
     Norms carry the weight e^(beta t) with beta = cfg.beta > 0, so a
     converged run certifies decay at that rate in the weighted sense.
-    The report flags a decay violation when the weighted solution norm
-    grows across the horizon. t_max, when given, replaces cfg.T.
+    Returns the stacked trajectory of the last march and the norm
+    history; the report flags a decay violation when the weighted
+    solution norm grows across the horizon.
     """
-    params = params if params is not None else default_params()
-    params.require_global()
     if not cfg.beta > 0:
         raise ConfigError(f"the global iteration needs a positive decay weight, got beta={cfg.beta}")
-    if t_max is not None:
-        cfg = replace(cfg, T=float(t_max))
-    eng = _GlobalEngine(initial, cfg, params)
-    bundle0 = first_bundle if first_bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=True)
-    _check_bundle(bundle0, cfg.nt, want_hat=True)
+    eng, bundle0 = _start(_GlobalEngine, initial, cfg, params, first_bundle)
     states, maps, _, report = _picard(
         eng.march, eng.evaluate, bundle0, cfg, eng.R, beta=cfg.beta, data_scale=state_norm(initial, cfg.q)
     )
-    traj = Trajectory.from_stacks(states, maps, cfg.dt, "global")
-    norms = state_norm(traj.state_stack, cfg.q)
+    traj = Trajectory(states, maps, cfg.dt, "global")
+    norms = state_norm(states, cfg.q)
     weighted = np.exp(cfg.beta * traj.times) * norms
     return traj, replace(report, decay_violation=_grows_across(weighted), state_norms=tuple(norms))
 
@@ -646,16 +620,10 @@ def march_local(
     """One pass of the frozen-map cascade with fixed sources (zeros if omitted).
 
     No outer iteration: this is the linear march the Picard loop calls,
-    exposed for consistency and conservation studies. Map failures raise.
+    exposed for consistency and conservation studies. Returns the
+    stacked trajectory; map failures raise.
     """
-    params = params if params is not None else default_params()
-    eng = _LocalEngine(initial, cfg, params)
-    bundle = bundle if bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt)
-    _check_bundle(bundle, cfg.nt, want_hat=False)
-    states, maps, err = eng.march(bundle)
-    if err is not None:
-        raise err
-    return Trajectory.from_stacks(states, maps, cfg.dt, "local")
+    return _march_once(*_start(_LocalEngine, initial, cfg, params, bundle))
 
 
 def march_global(
@@ -664,16 +632,9 @@ def march_global(
     params: PhysParams | None = None,
     bundle: SourceBundle | None = None,
 ) -> Trajectory:
-    """One pass of the split linear march with fixed sources (zeros if omitted)."""
-    params = params if params is not None else default_params()
-    params.require_global()
-    eng = _GlobalEngine(initial, cfg, params)
-    bundle = bundle if bundle is not None else SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=True)
-    _check_bundle(bundle, cfg.nt, want_hat=True)
-    states, maps, err = eng.march(bundle)
-    if err is not None:
-        raise err
-    return Trajectory.from_stacks(states, maps, cfg.dt, "global")
+    """One pass of the split linear march with fixed sources (zeros if
+    omitted). Returns the stacked trajectory; map failures raise."""
+    return _march_once(*_start(_GlobalEngine, initial, cfg, params, bundle))
 
 
 def conserved_quantities(traj: Trajectory, params: PhysParams | None = None) -> ConservedSeries:
@@ -687,10 +648,10 @@ def conserved_quantities(traj: Trajectory, params: PhysParams | None = None) -> 
     terms; it is a monitoring quantity, not an exact invariant.
     """
     grid = traj.grid
-    st = traj.state_stack
+    st = traj.states
     rho, v2, th2 = st.rho.values, np.sum(st.v.values**2, axis=-1), st.theta.values**2
     if traj.mode == "local":
-        delta = traj.map_stack.delta
+        delta = traj.maps.delta
         mass = integrate_fluid(grid, rho * delta)
         kin = 0.5 * integrate_fluid(grid, rho * v2 * delta)
         th = 0.5 * integrate_fluid(grid, th2 * delta)

@@ -161,18 +161,10 @@ def _rate(arr, like: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shear_weight(convention: str, printed: np.ndarray, swapped: np.ndarray) -> np.ndarray:
-    if convention == "printed":
-        return printed
-    if convention == "swapped":
-        return swapped
-    raise ConfigError(f"unknown shear convention {convention!r}")
-
-
 # ------------------------------------------------------------------ local sources
 
 
-def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParams, dv_dt=None, dtheta_dt=None, shear_convention: str = "printed"):
+def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParams, dv_dt=None, dtheta_dt=None):
     """Sources of the local fixed-domain system, frozen-metric form.
 
     Returns (F1, F2, F3, G, H): interior scalar, interior vector,
@@ -180,9 +172,7 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
     beam forcing on the top edge. The time derivatives of v and theta
     that appear inside F2 and F3 are supplied by the caller (the outer
     iteration's latest accepted difference quotient); omitted they are
-    taken as zero. shear_convention chooses the coefficient on the
-    squared shear in F3: "printed" uses mu/(2 delta), "swapped" the
-    other regime's 2 mu/delta.
+    taken as zero.
     """
     grid = state.grid
     ops = grid.ops
@@ -219,13 +209,14 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
 
     S = _transpose(BgvT) + BgvT  # gv B^T is (B gv^T)^T with the same products
     shear_sq = _colon(S, S)
-    sf = _shear_weight(shear_convention, params.mu / (2.0 * dX), 2.0 * params.mu / dX)
     heat_flux = _matvec(AX - A0, gth)
     F3 = (
         params.c_v * mass_gap * dthdt
         + params.kappa * ops.div(heat_flux)
         + (params.alpha / dX) * colonX**2
-        + sf * shear_sq
+        # the squared shear carries mu/(2 delta) as printed for this
+        # regime; the perturbation regime prints 2 mu/delta
+        + (params.mu / (2.0 * dX)) * shear_sq
         - (params.R0 * rho * theta + params.pi0) * colonX
     ) / (params.c_v * r0 * d0)
 
@@ -268,11 +259,8 @@ def eval_global_sources(
     state: FullState,
     map,
     params: PhysParams,
-    rho_split: MeanFluctSplit | None = None,
-    theta_split: MeanFluctSplit | None = None,
     dv_dt=None,
     dtheta_dt=None,
-    shear_convention: str = "printed",
 ):
     """Sources of the perturbation system, with the split plate forcing.
 
@@ -281,10 +269,8 @@ def eval_global_sources(
     spatially constant beam forcing (a float, one per sample for a
     stack). H_tilde + H_hat must recombine into the unsplit plate
     source; that identity is checked on every sample and a violation
-    raises a numerics error naming the first failing sample.
-    shear_convention chooses the coefficient on the squared shear in
-    F3: "printed" uses 2 mu/delta, "swapped" the other regime's
-    mu/(2 delta).
+    raises a numerics error naming the first failing sample. The
+    constant part is built from split_mean of density and temperature.
     """
     F1, gv, metric_gap = _global_density_source(state, map, params)
     grid = state.grid
@@ -316,14 +302,15 @@ def eval_global_sources(
 
     S = _transpose(BgvT) + BgvT  # gv B^T is (B gv^T)^T with the same products
     shear_sq = _colon(S, S)
-    sf = _shear_weight(shear_convention, 2.0 * params.mu / dX, params.mu / (2.0 * dX))
     heat_flux = _matvec(AX - eye, gth)
     F3 = (
         -params.c_v * (dX * rho + rb * (dX - 1.0)) * dthdt
         - params.R0 * (rho * theta + rb * theta + tb * rho) * colonX
         + params.kappa * ops.div(heat_flux)
         + (params.alpha / dX) * colonX**2
-        + sf * shear_sq
+        # the squared shear carries 2 mu/delta as printed for this
+        # regime; the local regime prints mu/(2 delta)
+        + (2.0 * params.mu / dX) * shear_sq
     ) / (params.c_v * rb)
 
     G = np.einsum("...a,...a->...", _matvec(eye - AX, gth), ops.normals)
@@ -336,11 +323,11 @@ def eval_global_sources(
     bracket = (1.0 / dX_top) * (S_top[..., 1, 0] * (-slope) + S_top[..., 1, 1]) - 2.0 * params.mu * gv[..., -1, 1, 1]
     leading = -params.mu * bracket - params.alpha * _colon(metric_gap, gv)[..., -1]
 
-    rho_split = rho_split or split_mean(state.rho)
-    theta_split = theta_split or split_mean(state.theta)
-    rt = rho_split.tilde.values[..., -1]
-    tt = theta_split.tilde.values[..., -1]
-    ra, ta = np.asarray(rho_split.avg), np.asarray(theta_split.avg)
+    rho_parts = split_mean(state.rho)
+    theta_parts = split_mean(state.theta)
+    rt = rho_parts.tilde.values[..., -1]
+    tt = theta_parts.tilde.values[..., -1]
+    ra, ta = np.asarray(rho_parts.avg), np.asarray(theta_parts.avg)
     H_tilde = leading + params.R0 * (rt * tt + rt * ta[..., None] + ra[..., None] * tt)
     H_hat = params.R0 * ra * ta
 
@@ -389,10 +376,6 @@ class CompatReport:
         return self.strength < 0.5
 
     @property
-    def lt_one(self) -> bool:
-        return self.strength < 1.0
-
-    @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.conditions if c.required)
 
@@ -405,7 +388,7 @@ class CompatReport:
         return out
 
 
-def check_compatibility(initial: FullState, params: PhysParams, mode: str = "local", p: float = 4.0, q: float = 4.0, X0metrics=None, slope_tol_scale: float = 10.0) -> CompatReport:
+def check_compatibility(initial: FullState, params: PhysParams, mode: str = "local", p: float = 4.0, q: float = 4.0) -> CompatReport:
     """Measure the trace and flux conditions a starting state must meet.
 
     The beam must be clamped, the fluid velocity must match the beam
@@ -413,8 +396,10 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     stay positive (shifted by the reference value in the perturbation
     regime). When 1/p + 1/(2q) < 1/2 the beam-velocity slope and the
     conormal heat flux must vanish as well; outside that regime those
-    rows are reported but not required. Reporting only: nothing raises
-    on a failed condition.
+    rows are reported but not required. The slope and flux rows allow
+    ten squared mesh widths for stencil error, and the flux is the
+    plain normal derivative (identity metric).
+    Reporting only: nothing raises on a failed condition.
     """
     if mode not in ("local", "global"):
         raise ConfigError(f"unknown compatibility mode {mode!r}")
@@ -422,12 +407,7 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     ops = grid.ops
     strength = 1.0 / p + 1.0 / (2.0 * q)
     lt_half = strength < 0.5
-    h2 = max(grid.hx, grid.hy) ** 2
-
-    if X0metrics is None:
-        A0 = _identity_metric(grid)
-    else:
-        A0 = _as_metrics(X0metrics)[2]
+    slope_tol = 10.0 * max(grid.hx, grid.hy) ** 2
 
     rho = initial.rho.values
     v = initial.v.values
@@ -451,17 +431,17 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
 
     wall = grid.mask_wall
     top_v = v[1:-1, -1, :]
-    flux = np.einsum("...a,...a->...", _matvec(A0, ops.grad(theta)), ops.normals)
+    flux = np.einsum("...a,...a->...", ops.grad(theta), ops.normals)
 
     conditions = (
         CompatCondition("exponents-admissible", True, 1.0 - exf, 0.5),
         CompatCondition("density-positive", True, neg, 0.0),
         CompatCondition("beam-clamped-value", True, float(max(abs(e1[0]), abs(e1[-1]))), 1e-10 * escale),
-        CompatCondition("beam-clamped-slope", True, float(max(abs(slope1[0]), abs(slope1[-1]))), slope_tol_scale * h2 * escale),
+        CompatCondition("beam-clamped-slope", True, float(max(abs(slope1[0]), abs(slope1[-1]))), slope_tol * escale),
         CompatCondition("beam-velocity-ends", True, float(max(abs(e2[0]), abs(e2[-1]))), 1e-10 * escale),
         CompatCondition("wall-trace", True, float(np.max(np.abs(v[wall]))) if np.any(wall) else 0.0, 1e-10 * vscale),
         CompatCondition("top-trace", True, float(max(np.max(np.abs(top_v[:, 1] - e2[1:-1])), np.max(np.abs(top_v[:, 0])))), 1e-10 * max(vscale, escale)),
-        CompatCondition("beam-velocity-slope", lt_half, float(max(abs(slope2[0]), abs(slope2[-1]))), slope_tol_scale * h2 * escale),
-        CompatCondition("heat-flux", lt_half, float(np.max(np.abs(flux[grid.mask_boundary]))), slope_tol_scale * h2 * tscale),
+        CompatCondition("beam-velocity-slope", lt_half, float(max(abs(slope2[0]), abs(slope2[-1]))), slope_tol * escale),
+        CompatCondition("heat-flux", lt_half, float(np.max(np.abs(flux[grid.mask_boundary]))), slope_tol * tscale),
     )
     return CompatReport(mode, float(p), float(q), float(strength), conditions)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab.chgvar import (
+    CutoffProfile,
     _conormal,
     build_cutoff,
     build_diffeo,
@@ -164,24 +165,14 @@ def test_cutoff_is_c2_at_ramp_ends():
     assert np.max(np.abs(d2)) < 200.0
 
 
-def test_cutoff_x_margin_profile():
-    g = unit_grid(32)
-    chi = build_cutoff(g, x_margin=0.1, x_ramp=0.1)
-    assert chi.psi_x(0.05) == 0.0
-    assert chi.psi_x(0.5) == 1.0
-    assert chi.psi_x(0.97) == 0.0
-
-
 def test_cutoff_validation():
     g = unit_grid(8)
     with pytest.raises(ConfigError):
-        build_cutoff(g, eta_minus=0.1)
+        CutoffProfile(g, 0.1, 0.25, 0.25)
     with pytest.raises(ConfigError):
-        build_cutoff(g, ramp=0.0)
+        CutoffProfile(g, -0.25, 0.25, 0.0)
     with pytest.raises(ConfigError):
-        build_cutoff(g, eta_minus=-0.9, ramp=0.5)
-    with pytest.raises(ConfigError):
-        build_cutoff(g, x_margin=0.1, x_ramp=0.0)
+        CutoffProfile(g, -0.9, 0.25, 0.5)
 
 
 # ---------------------------------------------------------------- initial map

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fsilab import fixed_point as fp
 from fsilab import linear_subsystems as ls
-from fsilab.chgvar import build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
+from fsilab.chgvar import DiffeoMap, build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
 from fsilab.core_grid import (
     BeamField,
     FluidField,
@@ -90,14 +90,18 @@ def global_bump_state(grid, params, a=1e-2):
 
 
 def state_gap(a, b, q=4.0):
+    """Largest component norm of a - b; one per sample when a is a stack."""
     s1 = NormSpec(1, q)
     g = a.grid
-    return max(
-        discrete_norm(FluidField(g, a.rho.values - b.rho.values), s1),
-        discrete_norm(FluidField(g, a.v.values - b.v.values, kind="vector"), s1),
-        discrete_norm(FluidField(g, a.theta.values - b.theta.values), s1),
-        discrete_norm(BeamField(g, a.eta1.values - b.eta1.values), NormSpec(2, q)),
-        discrete_norm(BeamField(g, a.eta2.values - b.eta2.values), s1),
+    return np.max(
+        [
+            discrete_norm(FluidField(g, a.rho.values - b.rho.values), s1),
+            discrete_norm(FluidField(g, a.v.values - b.v.values, kind="vector"), s1),
+            discrete_norm(FluidField(g, a.theta.values - b.theta.values), s1),
+            discrete_norm(BeamField(g, a.eta1.values - b.eta1.values), NormSpec(2, q)),
+            discrete_norm(BeamField(g, a.eta2.values - b.eta2.values), s1),
+        ],
+        axis=0,
     )
 
 
@@ -180,10 +184,15 @@ def test_trajectory_indexing():
 def test_trajectory_guards():
     g = unit_grid(6)
     st0 = steady_state(g)
+    traj, _ = run_local(st0, IterationConfig(T=0.05, dt=0.025))
     with pytest.raises(ConfigError):
-        Trajectory((st0,), (), 0.1, "local")
+        Trajectory(st0, traj.maps, 0.1, "local")
     with pytest.raises(ConfigError):
-        Trajectory((st0,), (None,), 0.1, "sideways")
+        Trajectory(traj.states, traj.maps.sample(slice(0, 2)), 0.1, "local")
+    with pytest.raises(ConfigError):
+        Trajectory(traj.states, traj.maps.sample(0), 0.1, "local")
+    with pytest.raises(ConfigError):
+        Trajectory(traj.states, traj.maps, 0.1, "sideways")
 
 
 def test_report_properties():
@@ -200,11 +209,11 @@ def test_steady_data_converges_in_one_iteration():
     traj, rep = run_local(steady_state(g), IterationConfig(T=0.1, dt=0.025, tol=1e-10))
     assert rep.status == "converged"
     assert rep.iterations == 1
-    for s in traj.states:
-        assert np.max(np.abs(s.rho.values - 1.0)) <= 1e-12
-        assert np.max(np.abs(s.v.values)) <= 1e-12
-        assert np.max(np.abs(s.theta.values - 1.0)) <= 1e-12
-        assert np.max(np.abs(s.eta1.values)) <= 1e-12
+    s = traj.states
+    assert np.max(np.abs(s.rho.values - 1.0)) <= 1e-12
+    assert np.max(np.abs(s.v.values)) <= 1e-12
+    assert np.max(np.abs(s.theta.values - 1.0)) <= 1e-12
+    assert np.max(np.abs(s.eta1.values)) <= 1e-12
 
 
 def test_steady_conserved_drift_zero():
@@ -283,7 +292,7 @@ def test_uniqueness_proxy_between_bundle_guesses():
     t1, r1 = run_local(st0, cfg)
     t2, r2 = run_local(st0, cfg, first_bundle=pert)
     assert r1.converged and r2.converged
-    gap = max(state_gap(a, b) for a, b in zip(t1.states, t2.states))
+    gap = np.max(state_gap(t1.states, t2.states))
     assert gap < 10.0 * cfg.tol
 
 
@@ -299,6 +308,7 @@ def test_diffeo_failure_reported_with_partial_trajectory():
     assert rep.status == "diffeo-failure"
     assert "determinant" in rep.message
     assert len(traj) < cfg.nt
+    assert len(traj.maps.delta) == len(traj) == len(rep.state_norms)
 
 
 def test_first_bundle_sample_count_checked():
@@ -353,7 +363,7 @@ def test_global_zero_perturbation_stays_zero():
     traj, rep = run_global(st0, IterationConfig(T=0.5, dt=0.01, tol=1e-9, beta=0.1))
     assert rep.converged and rep.iterations == 1
     assert not rep.decay_violation
-    assert max(max_field(s) for s in traj.states) == 0.0
+    assert max_field(traj.states) == 0.0
 
 
 def test_global_linear_march_conserves_mass_functional():
@@ -388,7 +398,7 @@ def test_global_small_data_converges_and_decays():
     # kernel-direction equilibrium shift fed by dissipation heating
     end = traj[-1]
     t = traj.times
-    d = np.array([state_gap(s, end) for s in traj.states])
+    d = state_gap(traj.states, end)
     sel = (t >= 0.5) & (t <= 8.0)
     co = np.polyfit(t[sel], np.log(d[sel]), 1)
     pred = np.polyval(co, t[sel])
@@ -423,7 +433,7 @@ def test_global_state_scales_linearly():
     for a in (1e-2, 2e-2):
         traj, rep = run_global(global_bump_state(g, params, a=a), cfg, params=params)
         assert rep.converged
-        series = np.array([state_norm(s, cfg.q) for s in traj.states])
+        series = state_norm(traj.states, cfg.q)
         vals.append(weighted_time_norm(series, cfg.dt, NormSpec(0, cfg.q, cfg.p, cfg.beta)))
     slope = np.log2(vals[1] / vals[0])
     assert abs(slope - 1.0) <= 0.2
@@ -460,12 +470,17 @@ def test_global_rejects_bundle_without_hat():
         run_global(st0, cfg, first_bundle=SourceBundle.zeros(g, cfg.nt, cfg.dt, with_hat=False))
 
 
-def test_global_t_max_overrides_horizon():
-    g = unit_grid()
-    z = np.zeros(g.shape)
-    st0 = make_state(g, z, np.zeros(g.shape + (2,)), z, np.zeros(g.nx + 1), np.zeros(g.nx + 1))
-    traj, _ = run_global(st0, IterationConfig(T=0.1, dt=0.05, beta=0.1), t_max=0.3)
-    assert traj.times[-1] == pytest.approx(0.3)
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_samples_are_stamped_from_the_initial_time(mode):
+    g = unit_grid(6)
+    params = default_params()
+    march, st0 = (march_local, local_bump_state(g)) if mode == "local" else (march_global, global_bump_state(g, params))
+    cfg = IterationConfig(T=0.03, dt=0.01, beta=0.1)
+    traj = march(dataclasses.replace(st0, t=0.5), cfg, params)
+    assert same_bits(traj.times, 0.5 + np.arange(cfg.nt) * cfg.dt)
+    assert np.all(np.diff(traj.times) > 0)
+    # at t = 0 the stamps are the plain multiples n dt
+    assert same_bits(march(st0, cfg, params).times, np.arange(cfg.nt) * cfg.dt)
 
 
 # ------------------------------------------------- conserved quantities
@@ -519,13 +534,11 @@ def test_steady_global_run_keeps_its_single_march(monkeypatch):
     assert len(calls) == 1
     ref = march_global(st0, cfg, bundle=SourceBundle.zeros(g, cfg.nt, cfg.dt, with_hat=True))
     assert len(traj) == len(ref) == cfg.nt
-    for a, b in zip(traj.states, ref.states):
-        for f in ("rho", "v", "theta", "eta1", "eta2"):
-            assert same_bits(getattr(a, f).values, getattr(b, f).values)
-        assert a.t == b.t
-    for a, b in zip(traj.maps, ref.maps):
-        for f in ("X", "gradX", "B", "delta", "A"):
-            assert same_bits(getattr(a, f), getattr(b, f))
+    for f in ("rho", "v", "theta", "eta1", "eta2"):
+        assert same_bits(getattr(traj.states, f).values, getattr(ref.states, f).values)
+    assert same_bits(traj.times, ref.times)
+    for f in ("X", "gradX", "B", "delta", "A"):
+        assert same_bits(getattr(traj.maps, f), getattr(ref.maps, f))
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])
@@ -600,19 +613,25 @@ def test_batched_state_norm_matches_per_state_calls(q):
     g = unit_grid()
     params = default_params()
     traj = march_global(global_bump_state(g, params), IterationConfig(T=0.5, dt=0.05, beta=0.1), params=params)
-    assert same_bits(state_norm(traj.state_stack, q), [state_norm(s, q) for s in traj.states])
+    assert same_bits(state_norm(traj.states, q), [state_norm(traj[k], q) for k in range(len(traj))])
     assert isinstance(state_norm(traj[3], q), float)
 
 
 def test_trajectory_stacks_round_trip():
     g = unit_grid(6)
     traj, _ = run_local(local_bump_state(g), IterationConfig(T=0.05, dt=0.0125, tol=1e-8))
-    rebuilt = Trajectory(tuple(traj.states), tuple(traj.maps), traj.dt, traj.mode)
-    assert same_bits(rebuilt.state_stack.v.values, traj.state_stack.v.values)
-    assert same_bits(rebuilt.map_stack.A, traj.map_stack.A)
+    n = len(traj)
+    rebuilt = Trajectory(
+        FullState.stack([traj[k] for k in range(n)]),
+        DiffeoMap.stack([traj.maps.sample(k) for k in range(n)]),
+        traj.dt,
+        traj.mode,
+    )
+    assert same_bits(rebuilt.states.v.values, traj.states.v.values)
+    assert same_bits(rebuilt.maps.A, traj.maps.A)
     assert same_bits(rebuilt.times, traj.times)
     assert traj[-1].t == pytest.approx(0.05)
-    assert len(traj.states[1:3]) == 2
+    assert len(traj.states.sample(slice(1, 3)).t) == 2
 
 
 # ------------------------------------------------------- one-column global march
@@ -631,7 +650,7 @@ def forcing_bundle(g, cfg, rest=True, hat=True):
 
 
 def stacked_fields(traj):
-    st = traj.state_stack
+    st = traj.states
     return [st.rho.values, st.v.values, st.theta.values, st.eta1.values, st.eta2.values]
 
 
@@ -750,14 +769,15 @@ def test_report_carries_the_state_norms_of_its_trajectory(mode):
     else:
         cfg = IterationConfig(T=0.5, dt=0.05, tol=1e-9, beta=0.1)
         traj, rep = run_global(global_bump_state(g, params), cfg, params)
-    assert same_bits(rep.state_norms, state_norm(traj.state_stack, cfg.q))
+    assert same_bits(rep.state_norms, state_norm(traj.states, cfg.q))
 
 
 def conserved_by_sample(traj, params=None):
     """Reference series: the per-sample loop over FullState views."""
     grid = traj.grid
     mass, energy = [], []
-    for st, mp in zip(traj.states, traj.maps):
+    for k in range(len(traj)):
+        st, mp = traj[k], traj.maps.sample(k)
         if traj.mode == "local":
             d = mp.delta
             m = integrate_fluid(grid, st.rho.values * d)

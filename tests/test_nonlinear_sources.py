@@ -240,19 +240,6 @@ def test_global_split_identity_on_random_state():
     # value at all means it held to round-off
     out = eval_global_sources(st, mp, PhysParams())
     assert len(out) == 6
-    # explicit splits consistent with the state give the same forcing
-    out2 = eval_global_sources(st, mp, PhysParams(), rho_split=split_mean(st.rho), theta_split=split_mean(st.theta))
-    assert np.max(np.abs(out[4] - out2[4])) < 1e-14
-    assert out[5] == pytest.approx(out2[5])
-
-
-def test_global_split_mismatch_detected():
-    g = unit_grid(8)
-    mets = metric_tensors(g, identity_map(g))
-    st = make_state(g, rho=np.full(g.shape, 0.2), theta=np.full(g.shape, 0.3))
-    alien = split_mean(FluidField(g, np.sin(g.xx) + 1.0))
-    with pytest.raises(NumericsError):
-        eval_global_sources(st, mets, PhysParams(), rho_split=alien)
 
 
 def test_global_quadratic_scaling():
@@ -275,29 +262,6 @@ def test_global_quadratic_scaling():
         )
     slopes = [np.log2(norms[i] / norms[i + 1]) for i in range(3)]
     assert all(abs(s - 2.0) < 0.1 for s in slopes)
-
-
-def test_shear_convention_flag_changes_heat_source_only():
-    g = unit_grid(12)
-    mets = metric_tensors(g, identity_map(g))
-    v = 0.1 * np.stack([np.sin(np.pi * g.xx) * np.sin(np.pi * g.yy), g.xx * (1 - g.xx) * g.yy], axis=-1)
-    st = make_state(g, rho=np.zeros(g.shape), v=v)
-    p = PhysParams(mu=0.7)
-    base = eval_global_sources(st, mets, p, shear_convention="printed")
-    swap = eval_global_sources(st, mets, p, shear_convention="swapped")
-    # identity metrics: the squared-shear term is |2 D(v)|^2 and the two
-    # conventions differ by the factor (2 mu) vs (mu / 2)
-
-    ops = g.ops
-    gv = ops.grad_vector(v)
-    S = gv + np.swapaxes(gv, -1, -2)
-    shear_sq = np.einsum("...ab,...ab->...", S, S)
-    delta_expected = (p.mu / 2.0 - 2.0 * p.mu) * shear_sq / (p.c_v * p.rho_bar)
-    assert np.max(np.abs((swap[2] - base[2]) - delta_expected)) < 1e-12
-    assert np.max(np.abs(swap[0] - base[0])) == 0.0
-    assert np.max(np.abs(swap[1] - base[1])) == 0.0
-    with pytest.raises(ConfigError):
-        eval_global_sources(st, mets, p, shear_convention="averaged")
 
 
 # ---------------------------------------------------------------- compatibility
@@ -455,7 +419,7 @@ def test_density_source_helper_matches_full_evaluation_on_a_trajectory():
     p = PhysParams()
     cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
     traj = march_global(scenario_library("beam-pluck", g), cfg, p)
-    states, maps = traj.state_stack, traj.map_stack
+    states, maps = traj.states, traj.maps
     assert states.rho.values.shape[0] == cfg.nt
     full = eval_global_sources(
         states, maps, p,

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import fsilab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fsilab.__path__))
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_package_exports_resolve():
@@ -18,6 +20,22 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"fsilab.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_every_bench_hook_resolves(monkeypatch):
+    # bench/spans.py times the layers by rebinding these names, and a
+    # method must sit in its own class body; a rename fails here rather
+    # than as a benchmark run that cannot start
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    missing = []
+    for module, attr, _, _ in spans._hooks(spans.Recorder()):
+        owner = importlib.import_module(f"fsilab.{module}")
+        cls_name, _, meth = attr.rpartition(".")
+        found = meth in vars(getattr(owner, cls_name, object)) if cls_name else hasattr(owner, attr)
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", MODULES)
