@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_grid import BeamField, Grid2D, _cumtrapz
-from .errors import ConfigError, DiffeoFailure, GeometryError
+from .core_grid import BeamField, Grid2D, _cumtrapz, _sample_blocks
+from .errors import ConfigError, DiffeoFailure, GeometryError, _rebased
 
 __all__ = [
     "CutoffProfile",
@@ -82,33 +82,38 @@ def build_cutoff(grid: Grid2D) -> CutoffProfile:
 
 @dataclass(frozen=True)
 class DiffeoMap:
-    """Map samples with their gradient and metric triplet.
+    """Map samples with their metric triplet.
 
-    X holds positions, gradX the centered-difference Jacobian, B its
-    cofactor, delta its determinant and A = B^T B / delta the conormal
+    X holds positions, B the cofactor of the centered-difference
+    Jacobian, delta its determinant and A = B^T B / delta the conormal
     tensor. All tensors live at fluid grid nodes; a map series stacks
     its samples along a leading time axis of every array.
     """
 
     grid: Grid2D
     X: np.ndarray
-    gradX: np.ndarray
     B: np.ndarray
     delta: np.ndarray
     A: np.ndarray
+
+    @property
+    def gradX(self) -> np.ndarray:
+        """The Jacobian, read off B: the 2x2 cofactor only moves and
+        negates entries, so taken twice it gives back every bit."""
+        return _cof2(self.B)
 
     @property
     def min_delta(self) -> float:
         return float(np.min(self.delta))
 
     def sample(self, n: int) -> "DiffeoMap":
-        """The n-th map of a series, as views into its arrays."""
-        return DiffeoMap(self.grid, self.X[n], self.gradX[n], self.B[n], self.delta[n], self.A[n])
+        """The n-th map of a series, as views into its arrays (a slice keeps a series)."""
+        return DiffeoMap(self.grid, self.X[n], self.B[n], self.delta[n], self.A[n])
 
     @staticmethod
     def stack(maps) -> "DiffeoMap":
         """Stack single maps into a series along a leading time axis."""
-        fields = ("X", "gradX", "B", "delta", "A")
+        fields = ("X", "B", "delta", "A")
         return DiffeoMap(maps[0].grid, *(np.stack([getattr(m, f) for m in maps]) for f in fields))
 
 
@@ -188,18 +193,26 @@ def diffeo_series(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> tuple[DiffeoM
     Returns the map series of the samples before the first one whose
     determinant reaches the floor (<= 0, or <= c0 when c0 > 0), and
     that failure, or None when all samples clear it. Every sample is
-    bit for bit what build_diffeo gives for it alone.
+    bit for bit what build_diffeo gives for it alone. The tensors are
+    built one block of samples at a time into stacks allocated once, and
+    the build stops at the block that holds the failure.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 4 or X.shape[1:] != grid.shape + (2,):
         raise ConfigError(f"map series has shape {X.shape}, expected (nt,) + {grid.shape + (2,)}")
-    gradX = grid.ops.grad_vector(X)
-    delta = _det2(gradX)
-    err = _floor_failure(delta, c0)
-    if err is not None:
-        X, gradX, delta = X[: err.sample], gradX[: err.sample], delta[: err.sample]
-    B = _cof2(gradX)
-    return DiffeoMap(grid, X, gradX, B, delta, _conormal(B, delta)), err
+    B = np.empty(X.shape + (2,))
+    delta = np.empty(X.shape[:-1])
+    A = np.empty_like(B)
+    for sl in _sample_blocks(len(X), grid.n_nodes):
+        gradX = grid.ops.grad_vector(X[sl])
+        delta[sl] = _det2(gradX)
+        err = _floor_failure(delta[sl], c0)
+        end = sl.stop if err is None else sl.start + err.sample
+        B[sl.start : end] = _cof2(gradX[: end - sl.start])
+        A[sl.start : end] = _conormal(B[sl.start : end], delta[sl.start : end])
+        if err is not None:
+            return DiffeoMap(grid, X[:end], B[:end], delta[:end], A[:end]), _rebased(err, sl.start)
+    return DiffeoMap(grid, X, B, delta, A), None
 
 
 def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
@@ -212,7 +225,7 @@ def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
     err = _floor_failure(delta, c0)
     if err is not None:
         raise err
-    return DiffeoMap(grid, X, gradX, B, delta, _conormal(B, delta))
+    return DiffeoMap(grid, X, B, delta, _conormal(B, delta))
 
 
 def initial_diffeo(eta1_0: BeamField, chi: CutoffProfile, n_flow_steps: int = 64) -> DiffeoMap:

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core_grid import FluidField, BeamField, Grid2D, _cumtrapz, build_grid, integrate_beam, integrate_fluid
+from .core_grid import FluidField, BeamField, Grid2D, _cumtrapz, _sample_blocks, build_grid, integrate_beam, integrate_fluid
 from .errors import ConfigError, FsilabError, GeometryError, NumericsError
 from .fixed_point import IterationConfig, conserved_quantities, run_global, run_local
 from .fs_operator import assemble_coupled, gamma_search, kernel_dimension, restrict_Xm, sector_rim, spectrum
@@ -431,7 +431,9 @@ def _mass_balance_drift(traj, params) -> float:
     """
     grid, states = traj.grid, traj.states
     mass = integrate_fluid(grid, states.rho.values) + params.rho_bar * integrate_beam(grid, states.eta1.values)
-    src = integrate_fluid(grid, _global_density_source(states, traj.maps, params)[0])
+    src = np.empty(len(traj))
+    for sl in _sample_blocks(len(traj), grid.n_nodes):
+        src[sl] = integrate_fluid(grid, _global_density_source(states.sample(sl), traj.maps.sample(sl), params)[0])
     injected = _cumtrapz(src, traj.dt)
     return float(np.max(np.abs(mass - mass[0] - injected)))
 

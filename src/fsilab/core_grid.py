@@ -9,7 +9,11 @@ a trailing component axis of length 2, matrix fields two such axes with
 Fields, stencils, integrals and norms also accept one optional leading
 time axis: a stack of nt samples has shape (nt, nx + 1, ny + 1, ...)
 and gets one integral or norm per sample, bit for bit what each sample
-gets on its own.
+gets on its own. A stack holds a whole horizon; the layers that work
+sample by sample (norms, running integrals, and downstream the map
+rebuild and the sources) take it in consecutive blocks of about
+_BLOCK_NODES grid nodes, so their temporaries hold one block whatever
+the horizon, and the result is the same bits as one pass.
 
 The beam occupies the top edge y = 0 and shares that edge's x-nodes bit
 for bit. The top-edge interior nodes form the moving boundary; the
@@ -398,6 +402,17 @@ class DiffOps:
         return m / self.grid.hx**4
 
 
+# node budget of one block of samples: about 30 samples at nx32, 7 at nx64
+_BLOCK_NODES = 32768
+
+
+def _sample_blocks(nt: int, sample_size: int) -> list[slice]:
+    """Consecutive slices covering nt samples of sample_size nodes (or
+    values) each, about _BLOCK_NODES a block and at least one sample."""
+    size = max(1, _BLOCK_NODES // sample_size)
+    return [slice(a, min(a + size, nt)) for a in range(0, nt, size)]
+
+
 def _per_sample(x):
     """A plain float for one sample, the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
@@ -426,9 +441,19 @@ def integrate_beam(grid: Grid2D, f: np.ndarray):
 
 
 def _cumtrapz(a: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoid integral along axis 0, zero at the first sample."""
+    """Running trapezoid integral along axis 0, zero at the first sample.
+
+    Summed one block of steps at a time, each block starting from the
+    total the last one reached: the additions are those of one running
+    sum over every step, in the same order.
+    """
     out = np.zeros_like(a)
-    out[1:] = np.cumsum(0.5 * dt * (a[1:] + a[:-1]), axis=0)
+    for sl in _sample_blocks(len(a) - 1, a[0].size):
+        lo, hi = sl.start, sl.stop
+        steps = 0.5 * dt * (a[lo + 1 : hi + 1] + a[lo:hi])
+        if lo:
+            steps[0] += out[lo]
+        np.cumsum(steps, axis=0, out=out[lo + 1 : hi + 1])
     return out
 
 
@@ -463,13 +488,26 @@ def discrete_norm(field: FluidField | BeamField, spec: NormSpec):
     Sums |f|^q and every difference-quotient derivative up to order
     spec.k over the trapezoid weights, then takes the 1/q power. With
     q infinite, takes the max over nodes and derivative terms instead.
+    A stack is normed one block of samples at a time.
     """
+    values = field.values
+    one_sample = 1 if isinstance(field, BeamField) else 2 if field.kind == "scalar" else 3
+    if values.ndim == one_sample:
+        return _norms(field, values, spec)
+    out = np.empty(len(values))
+    for sl in _sample_blocks(len(values), field.grid.n_nodes):
+        out[sl] = _norms(field, values[sl], spec)
+    return out
+
+
+def _norms(field: FluidField | BeamField, values: np.ndarray, spec: NormSpec):
+    """discrete_norm of `values`, one sample or a stack of field's kind."""
     ops = field.grid.ops
     if isinstance(field, BeamField):
-        terms = _beam_terms(ops, field.values, spec.k)
+        terms = _beam_terms(ops, values, spec.k)
         w, axes = field.grid.beam_weights, -1
     else:
-        comps = [field.values] if field.kind == "scalar" else [field.values[..., 0], field.values[..., 1]]
+        comps = [values] if field.kind == "scalar" else [values[..., 0], values[..., 1]]
         terms = []
         for c in comps:
             terms.extend(_fluid_terms(ops, c, spec.k))

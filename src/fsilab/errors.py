@@ -28,7 +28,16 @@ class ConfigError(FsilabError):
 
 
 class NumericsError(FsilabError):
-    """Linear solve failure, non-finite values, or non-convergence."""
+    """Linear solve failure, non-finite values, or non-convergence.
+
+    A failure found in a stack of samples carries the index of the
+    first failing sample, and its message ends with it.
+    """
+
+    def __init__(self, message, sample=None):
+        super().__init__(message if sample is None else f"{message} at sample {sample}")
+        self.reason = message
+        self.sample = sample
 
 
 class GeometryError(FsilabError):
@@ -47,3 +56,13 @@ class DiffeoFailure(GeometryError):
         self.node = node
         self.value = value
         self.sample = sample
+
+
+def _rebased(err: DiffeoFailure | NumericsError, start: int) -> DiffeoFailure | NumericsError:
+    """err as raised on the samples of a stack from `start` on, with its
+    sample counted from the first sample of the whole stack."""
+    if err.sample is None:
+        return err
+    if isinstance(err, DiffeoFailure):
+        return DiffeoFailure(str(err), node=err.node, value=err.value, sample=start + err.sample)
+    return NumericsError(err.reason, sample=start + err.sample)

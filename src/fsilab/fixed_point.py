@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DiffeoFailure
+from .errors import ConfigError, DiffeoFailure, NumericsError, _rebased
 from .core_grid import (
     BeamField,
     FluidField,
@@ -28,6 +28,7 @@ from .core_grid import (
     _cumtrapz,
     _per_sample,
     _qth_root,
+    _sample_blocks,
     discrete_norm,
     integrate_beam,
     integrate_fluid,
@@ -208,8 +209,30 @@ def _qnorms(w: np.ndarray, a: np.ndarray, q: float) -> np.ndarray:
     return _qth_root(np.sum(w * np.abs(a) ** q, axis=axes), q)
 
 
-def _bundle_series(grid: Grid2D, q: float, f1, f2, f3, g, h, h_hat) -> np.ndarray:
-    """Per-sample magnitude of a source bundle (or of a difference).
+def _bundle_series(q: float, new: SourceBundle, old: SourceBundle | None = None) -> np.ndarray:
+    """Per-sample magnitude of a source bundle, or of its difference to
+    old, taken one block of samples at a time.
+
+    A missing spatially constant forcing is left out of a single bundle
+    and counts as zeros against another bundle's.
+    """
+    def fields(b: SourceBundle):
+        return b.f1, b.f2, b.f3, b.g, b.h
+
+    hat = new.h_hat
+    if old is not None:
+        hat = np.subtract(*(b.h_hat if b.h_hat is not None else np.zeros(b.nt) for b in (new, old)))
+    out = np.empty(new.nt)
+    for sl in _sample_blocks(new.nt, new.grid.n_nodes):
+        parts = [a[sl] for a in fields(new)]
+        if old is not None:
+            parts = [a - b[sl] for a, b in zip(parts, fields(old))]
+        out[sl] = _magnitudes(new.grid, q, *parts, None if hat is None else hat[sl])
+    return out
+
+
+def _magnitudes(grid: Grid2D, q: float, f1, f2, f3, g, h, h_hat) -> np.ndarray:
+    """Per-sample magnitude of a stack of bundle samples.
 
     Fluid components carry the trapezoid q-norm, the flux samples a
     boundary max, the beam forcing the beam q-norm; the spatially
@@ -230,23 +253,12 @@ def _bundle_series(grid: Grid2D, q: float, f1, f2, f3, g, h, h_hat) -> np.ndarra
 
 
 def _bundle_norm(bundle: SourceBundle, cfg: IterationConfig, beta: float) -> float:
-    s = _bundle_series(bundle.grid, cfg.q, bundle.f1, bundle.f2, bundle.f3, bundle.g, bundle.h, bundle.h_hat)
+    s = _bundle_series(cfg.q, bundle)
     return weighted_time_norm(s, bundle.dt, NormSpec(0, cfg.q, cfg.p, beta))
 
 
 def _diff_norm(new: SourceBundle, old: SourceBundle, cfg: IterationConfig, beta: float) -> float:
-    hh_new = new.h_hat if new.h_hat is not None else np.zeros(new.nt)
-    hh_old = old.h_hat if old.h_hat is not None else np.zeros(old.nt)
-    s = _bundle_series(
-        new.grid,
-        cfg.q,
-        new.f1 - old.f1,
-        new.f2 - old.f2,
-        new.f3 - old.f3,
-        new.g - old.g,
-        new.h - old.h,
-        hh_new - hh_old,
-    )
+    s = _bundle_series(cfg.q, new, old)
     return weighted_time_norm(s, new.dt, NormSpec(0, cfg.q, cfg.p, beta))
 
 
@@ -255,21 +267,21 @@ def _maps_from_history(X0: DiffeoMap, vhist: np.ndarray, dt: float, c0: float):
 
     Cumulative trapezoid displacement, so sample n agrees with handing
     the first n+1 velocity slices to the one-shot map update; sample 0
-    is X0 itself. One batched metric evaluation covers every sample.
+    is X0 itself. The displacement stack becomes the positions in place.
     Returns the map series up to the first sample whose determinant
     hits the floor, and that failure (None when no sample does).
     """
-    X = X0.X + _cumtrapz(vhist, dt)
+    X = _cumtrapz(vhist, dt)
+    X += X0.X
     X[0] = X0.X
     return diffeo_series(X0.grid, X, c0)
 
 
-def _difference_quotients(values: np.ndarray, dt: float) -> np.ndarray:
-    """Backward quotients along axis 0; the first sample reuses the first step."""
-    dq = np.empty_like(values)
-    dq[1:] = (values[1:] - values[:-1]) / dt
-    dq[0] = dq[1]
-    return dq
+def _difference_quotients(values: np.ndarray, dt: float, rows: slice = slice(None)) -> np.ndarray:
+    """Backward quotients along axis 0 at the samples `rows`; the first
+    sample reuses the first step."""
+    k = np.maximum(np.arange(*rows.indices(len(values))), 1)
+    return (values[k] - values[k - 1]) / dt
 
 
 def _grows_across(series: np.ndarray) -> bool:
@@ -333,8 +345,9 @@ def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: flo
     ratios: list[float] = []
     status, message = "max-iters", ""
     for _ in range(cfg.max_iters):
+        # the last march's stacks go before the next march builds its own
+        marched, states, maps = bundle, None, None
         states, maps, err = march(bundle)
-        marched = bundle
         if err is not None:
             status, message = "diffeo-failure", str(err)
             break
@@ -358,6 +371,7 @@ def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: flo
             status = "converged"
             break
     if status in ("converged", "max-iters") and not _same_bundle(bundle, marched):
+        states, maps = None, None
         states, maps, err = march(bundle)
         if err is not None:
             status, message = "diffeo-failure", str(err)
@@ -367,7 +381,8 @@ def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: flo
 
 class _Engine:
     """What both engines share: the admission checks with the frozen map
-    they yield, and the stacked states and maps of one march."""
+    they yield, the stacked states and maps of one march, and the source
+    bundle of those stacks, evaluated one block of samples at a time."""
 
     mode: str
 
@@ -398,6 +413,31 @@ class _Engine:
         if err is not None:
             states = states.sample(slice(0, len(maps.delta)))
         return states, maps, err
+
+    def _sources(self, states: FullState, maps: DiffeoMap, evaluator, *args) -> SourceBundle:
+        """The source bundle of a stacked march, evaluated one block of
+        samples at a time into slots allocated once.
+
+        Every sample's sources are its own, so the bundle is bit for bit
+        one evaluation of the whole stack; a failure names its sample in
+        the whole stack.
+        """
+        dt, nt = self.cfg.dt, len(states.t)
+        bundle = SourceBundle.zeros(self.grid, nt, dt, with_hat=self.mode == "global")
+        slots = (bundle.f1, bundle.f2, bundle.f3, bundle.g, bundle.h, bundle.h_hat)
+        for sl in _sample_blocks(nt, self.grid.n_nodes):
+            try:
+                parts = evaluator(
+                    states.sample(sl), maps.sample(sl), *args,
+                    dv_dt=_difference_quotients(states.v.values, dt, sl),
+                    dtheta_dt=_difference_quotients(states.theta.values, dt, sl),
+                )
+            except (DiffeoFailure, NumericsError) as err:
+                raise _rebased(err, sl.start)
+            for slot, part in zip(slots, parts):
+                slot[sl] = part
+            del parts  # before the next block's sources are built
+        return bundle
 
 
 class _LocalEngine(_Engine):
@@ -434,13 +474,7 @@ class _LocalEngine(_Engine):
         return self._stacks(rho, v, th, e1s, e2s, (initial.eta1.clamped, initial.eta2.clamped))
 
     def evaluate(self, states: FullState, maps: DiffeoMap) -> SourceBundle:
-        dt = self.cfg.dt
-        sources = eval_local_sources(
-            states, maps, self.X0, self.rho0, self.params,
-            dv_dt=_difference_quotients(states.v.values, dt),
-            dtheta_dt=_difference_quotients(states.theta.values, dt),
-        )
-        return SourceBundle(self.grid, dt, *sources)
+        return self._sources(states, maps, eval_local_sources, self.X0, self.rho0, self.params)
 
 
 class _GlobalEngine(_Engine):
@@ -460,7 +494,8 @@ class _GlobalEngine(_Engine):
     coordinates: one factor of the block-diagonal I/dt - A, with about
     half the fill of the full matrix, and one solve per step. The forcing
     and the initial state are split once per march, the trajectory is
-    lifted once.
+    lifted once, and the march's work arrays are gone before the maps are
+    rebuilt from the lifted fields.
     """
 
     mode = "global"
@@ -520,22 +555,21 @@ class _GlobalEngine(_Engine):
             initial.eta1.values,
             initial.eta2.values,
         ))
+        # each work array is dropped once used: only the fields live on
+        # into the map rebuild
         G = self.mirror.split(F)
+        del F
         for n in range(steps):
             coords[n + 1] = lu.solve(coords[n] / dt + G[n])
-
+        del G
         rho_c, v_c, th_c, e1, e2 = unpack_fields(layout, self.mirror.lift(coords))
+        del coords
         rho, theta = rho_c + rho_flat[:, None, None], th_c + th_sharp + th_flat[:, None, None]
+        del rho_c, th_c, th_sharp
         return self._stacks(rho, v_c, theta, e1, e2, (True, True))
 
     def evaluate(self, states: FullState, maps: DiffeoMap) -> SourceBundle:
-        dt = self.cfg.dt
-        sources = eval_global_sources(
-            states, maps, self.params,
-            dv_dt=_difference_quotients(states.v.values, dt),
-            dtheta_dt=_difference_quotients(states.theta.values, dt),
-        )
-        return SourceBundle(self.grid, dt, *sources)
+        return self._sources(states, maps, eval_global_sources, self.params)
 
 
 def _start(engine, initial: FullState, cfg: IterationConfig, params: PhysParams | None, bundle: SourceBundle | None):

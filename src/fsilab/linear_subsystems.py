@@ -597,35 +597,35 @@ class ConvergenceReport:
         return float(np.mean(self.orders))
 
 
-def _heat_family(params: PhysParams):
+def _heat_family(grid: Grid2D, params: PhysParams):
     # theta = e^-t cos(pi x) cos(pi y); zero conormal flux on every edge
     kb = params.kappa / params.c_v  # rho0 = 1, identity metrics
+    cx, cy = np.cos(np.pi * grid.xx), np.cos(np.pi * grid.yy)
 
-    def exact(t, xx, yy):
-        return np.exp(-t) * np.cos(np.pi * xx) * np.cos(np.pi * yy)
+    def exact(t):
+        return np.exp(-t) * cx * cy
 
-    def forcing(t, xx, yy):
-        return (-1.0 + 2.0 * np.pi**2 * kb) * exact(t, xx, yy)
+    def forcing(t):
+        return (-1.0 + 2.0 * np.pi**2 * kb) * exact(t)
 
     return exact, forcing
 
 
-def _velocity_family(params: PhysParams):
+def _velocity_family(grid: Grid2D, params: PhysParams):
     # v = e^-t (sin(pi x) sin(pi y), 0); vanishes on the whole boundary
     mu, al = params.mu, params.alpha
+    sx, sy = np.sin(np.pi * grid.xx), np.sin(np.pi * grid.yy)
+    profile = np.empty(grid.shape + (2,))
+    profile[..., 0] = (-1.0 + 2.0 * np.pi**2 * mu + np.pi**2 * (mu + al)) * (sx * sy)
+    profile[..., 1] = -(mu + al) * np.pi**2 * (np.cos(np.pi * grid.xx) * np.cos(np.pi * grid.yy))
 
-    def exact(t, xx, yy):
-        out = np.zeros(xx.shape + (2,))
-        out[..., 0] = np.exp(-t) * np.sin(np.pi * xx) * np.sin(np.pi * yy)
+    def exact(t):
+        out = np.zeros(grid.shape + (2,))
+        out[..., 0] = np.exp(-t) * sx * sy
         return out
 
-    def forcing(t, xx, yy):
-        s = np.sin(np.pi * xx) * np.sin(np.pi * yy)
-        c = np.cos(np.pi * xx) * np.cos(np.pi * yy)
-        out = np.empty(xx.shape + (2,))
-        out[..., 0] = (-1.0 + 2.0 * np.pi**2 * mu + np.pi**2 * (mu + al)) * s
-        out[..., 1] = -(mu + al) * np.pi**2 * c
-        return np.exp(-t) * out
+    def forcing(t):
+        return np.exp(-t) * profile
 
     return exact, forcing
 
@@ -675,19 +675,19 @@ def _march_family(stepper: str, grid: Grid2D, params: PhysParams, dt: float, n_s
         return eta1.values, lambda t: exact(t, grid.x)[0]
     metrics, ones = _identity_metrics(grid), np.ones(grid.shape)
     if stepper == "heat":
-        exact, forcing = _heat_family(params)
+        exact, forcing = _heat_family(grid, params)
         step = TemperatureStepper(grid, metrics, ones, params, dt).step
         zero_g = np.zeros(grid.shape)
         advance = lambda th, f: step(th, f, zero_g)
     else:
-        exact, forcing = _velocity_family(params)
+        exact, forcing = _velocity_family(grid, params)
         step = VelocityStepper(grid, metrics, ones, params, dt).step
         zero_e2 = np.zeros(grid.nx + 1)
         advance = lambda v, f: step(v, zero_e2, f)
-    u = exact(0.0, grid.xx, grid.yy)
+    u = exact(0.0)
     for n in range(n_steps):
-        u = advance(u, forcing((n + 1) * dt, grid.xx, grid.yy))
-    return u, lambda t: exact(t, grid.xx, grid.yy)
+        u = advance(u, forcing((n + 1) * dt))
+    return u, exact
 
 
 def manufactured_convergence(stepper: str, family: str, resolutions, mode: str = "spatial", params: PhysParams | None = None) -> ConvergenceReport:

@@ -15,6 +15,8 @@ every evaluation.
 Both evaluators take a single state or a stack of states (fields with a
 leading time axis, map tensors likewise) and then return one sample of
 every output per state, bit for bit what each state gets on its own.
+That is what lets the Picard engines hand them a horizon one block of
+samples at a time.
 
 All outputs are nodewise algebra over the fixed rectangle. Divergence
 groupings are differenced as assembled fluxes rather than expanded by
@@ -337,8 +339,10 @@ def eval_global_sources(
     bad = np.flatnonzero(defect > 1e-12 * scale)
     if bad.size:
         k = int(bad[0])
-        where = f" at sample {k}" if defect.ndim else ""
-        raise NumericsError(f"plate-source split failed to recombine, defect {float(np.ravel(defect)[k])}{where}")
+        raise NumericsError(
+            f"plate-source split failed to recombine, defect {float(np.ravel(defect)[k])}",
+            sample=k if defect.ndim else None,
+        )
     return F1, F2, F3, G, H_tilde, _per_sample(H_hat)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fsilab.chgvar import (
     CutoffProfile,
+    DiffeoMap,
     _conormal,
     build_cutoff,
     build_diffeo,
@@ -107,6 +108,21 @@ def test_conormal_matches_einsum_formula_bit_for_bit():
         got = _conormal(B, delta)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_gradX_is_read_off_the_cofactor_bit_for_bit():
+    # the Jacobian is not stored: cofactor twice gives every bit back,
+    # signed zeros included
+    g = unit_grid(16)
+    rng = np.random.default_rng(8)
+    X = identity_map(g) + 1e-3 * rng.standard_normal(g.shape + (2,))
+    X[..., 1] = g.yy
+    X[2::4, -1, 1] = -0.0  # the top edge's x-slope alternates -0.0 and +0.0
+    jac = g.ops.grad_vector(X)
+    assert np.any(np.signbit(jac) & (jac == 0.0)) and np.any(~np.signbit(jac) & (jac == 0.0))
+    d = build_diffeo(g, X)
+    assert d.gradX.tobytes() == jac.tobytes()
+    assert "gradX" not in DiffeoMap.__dataclass_fields__
 
 
 def test_piola_row_divergence_vanishes():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab.core_grid import (
+    _BLOCK_NODES,
     BeamField,
     FluidField,
     NormSpec,
+    _cumtrapz,
+    _sample_blocks,
     beam_embed,
     build_grid,
     discrete_norm,
@@ -351,3 +355,45 @@ def test_time_norm_rejects_empty_and_bad_dt():
         weighted_time_norm(np.array([]), 0.1, NormSpec())
     with pytest.raises(ConfigError):
         weighted_time_norm(np.ones(4), 0.0, NormSpec())
+
+
+# ---------------------------------------------------------------- sample blocks
+
+
+@pytest.mark.parametrize("nt, size", [(1, 81), (404, 81), (811, 81), (7, 10**6), (100, 1089)])
+def test_sample_blocks_cover_the_stack_in_order(nt, size):
+    blocks = _sample_blocks(nt, size)
+    per_block = max(1, _BLOCK_NODES // size)
+    assert [i for sl in blocks for i in range(nt)[sl]] == list(range(nt))
+    assert all(0 < sl.stop - sl.start <= per_block for sl in blocks)
+    assert len(blocks) == -(-nt // per_block)
+
+
+def test_blocked_running_integral_adds_like_one_cumsum():
+    g = unit_grid(8)
+    nt, dt = 3 * (_BLOCK_NODES // (2 * g.n_nodes)) + 5, 0.01
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((nt,) + g.shape + (2,))
+    a[::7] = -0.0
+    assert len(_sample_blocks(nt - 1, a[0].size)) == 4
+    ref = np.zeros_like(a)
+    ref[1:] = np.cumsum(0.5 * dt * (a[1:] + a[:-1]), axis=0)
+    assert np.asarray(_cumtrapz(a, dt)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q", [4.0, math.inf])
+def test_blocked_norms_match_per_sample_norms(q):
+    g = unit_grid(8)
+    nt = 2 * (_BLOCK_NODES // g.n_nodes) + 3
+    rng = np.random.default_rng(5)
+    fields = [
+        FluidField(g, rng.standard_normal((nt,) + g.shape)),
+        FluidField(g, rng.standard_normal((nt,) + g.shape + (2,)), kind="vector"),
+        BeamField(g, rng.standard_normal((nt, g.nx + 1))),
+    ]
+    for f in fields:
+        for k in (0, 1, 2):
+            spec = NormSpec(k, q)
+            stacked = discrete_norm(f, spec)
+            single = [discrete_norm(dataclasses.replace(f, values=f.values[n]), spec) for n in range(nt)]
+            assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes()

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +14,18 @@ from fsilab import fixed_point as fp
 from fsilab import linear_subsystems as ls
 from fsilab.chgvar import DiffeoMap, build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
 from fsilab.core_grid import (
+    _BLOCK_NODES,
     BeamField,
     FluidField,
     NormSpec,
+    _sample_blocks,
     build_grid,
     discrete_norm,
     integrate_beam,
     integrate_fluid,
     weighted_time_norm,
 )
-from fsilab.errors import ConfigError, DiffeoFailure
+from fsilab.errors import ConfigError, DiffeoFailure, NumericsError
 from fsilab.fixed_point import (
     IterationConfig,
     IterationReport,
@@ -36,7 +40,7 @@ from fsilab.fixed_point import (
 from fsilab.fs_operator import assemble_coupled
 from fsilab.linear_subsystems import SourceBundle, default_params, plate_energy
 from fsilab.mirror import MirrorBlocks
-from fsilab.nonlinear_sources import FullState
+from fsilab.nonlinear_sources import FullState, eval_global_sources, eval_local_sources
 
 
 def unit_grid(n=8):
@@ -579,8 +583,8 @@ def map_history_case(amplitude, nt=21):
     return X0, vhist, 0.05, suggested_floor(X0)
 
 
-def test_batched_map_rebuild_matches_per_sample_build():
-    X0, vhist, dt, c0 = map_history_case(1.0)
+def assert_rebuild_matches_per_sample_build(nt):
+    X0, vhist, dt, c0 = map_history_case(1.0, nt)
     series, err = fp._maps_from_history(X0, vhist, dt, c0)
     ref, ref_err = per_sample_maps(X0, vhist, dt, c0)
     assert err is None and ref_err is None
@@ -591,6 +595,14 @@ def test_batched_map_rebuild_matches_per_sample_build():
         for f in ("X", "gradX", "B", "delta", "A"):
             assert same_bits(getattr(s, f), getattr(m, f)), (n, f)
             assert same_bits(getattr(s, f), getattr(one_shot, f)), (n, f)
+
+
+def test_batched_map_rebuild_matches_per_sample_build():
+    assert_rebuild_matches_per_sample_build(21)
+
+
+def test_map_rebuild_over_blocks_matches_per_sample_build():
+    assert_rebuild_matches_per_sample_build(2 * block_len(unit_grid()) + 3)
 
 
 @pytest.mark.parametrize("amplitude", [10.0, 100.0])
@@ -807,3 +819,135 @@ def test_batched_conserved_quantities_match_per_sample_loop(mode, n):
     mass, energy = conserved_by_sample(traj, params)
     assert same_bits(cs.mass, mass)
     assert same_bits(cs.energy, energy)
+
+
+# --------------------------------------------- per-sample layers in sample blocks
+
+
+def block_len(g):
+    """Samples in one block of the per-sample layers on grid g."""
+    return _sample_blocks(_BLOCK_NODES, g.n_nodes)[0].stop
+
+
+def marched(mode, g, nt, params):
+    """The engine of an nt-sample run from smooth data and sources, and
+    the stacked states and maps of its march."""
+    cfg = IterationConfig(T=(nt - 1) * 0.01, dt=0.01, beta=0.1)
+    if mode == "local":
+        eng = fp._LocalEngine(local_bump_state(g), cfg, params)
+    else:
+        eng = fp._GlobalEngine(global_bump_state(g, params), cfg, params)
+    states, maps, err = eng.march(forcing_bundle(g, cfg))
+    assert err is None and len(states.t) == nt
+    return eng, states, maps
+
+
+def shear(g):
+    pat = (g.xx * (1.0 - g.xx)) * (-g.yy) * (1.0 + g.yy)
+    return np.stack([pat, -pat], axis=-1)
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_blocked_evaluate_equals_one_evaluation_of_the_stack(mode):
+    g, params = unit_grid(), default_params()
+    nt = 2 * block_len(g) + 3
+    eng, states, maps = marched(mode, g, nt, params)
+    rates = {
+        "dv_dt": fp._difference_quotients(states.v.values, eng.cfg.dt),
+        "dtheta_dt": fp._difference_quotients(states.theta.values, eng.cfg.dt),
+    }
+    if mode == "local":
+        ref = eval_local_sources(states, maps, eng.X0, eng.rho0, params, **rates)
+    else:
+        ref = eval_global_sources(states, maps, params, **rates)
+    got = eng.evaluate(states, maps)
+    slots = [got.f1, got.f2, got.f3, got.g, got.h] + ([got.h_hat] if mode == "global" else [])
+    assert len(slots) == len(ref)
+    assert mode == "global" or got.h_hat is None
+    for k, (a, b) in enumerate(zip(slots, ref)):
+        assert np.array_equal(a, b) and same_bits(a, b), k
+
+
+def test_map_failure_past_the_first_block_names_its_sample():
+    g = unit_grid()
+    k = block_len(g) + 3
+    X0, vhist, dt, c0 = map_history_case(0.0, nt=2 * block_len(g) + 3)
+    vhist[k:] = 1e3 * shear(g)
+    series, err = fp._maps_from_history(X0, vhist, dt, c0)
+    ref, ref_err = per_sample_maps(X0, vhist, dt, c0)
+    assert err.sample == k == len(ref) == len(series.delta) == len(series.X)
+    assert str(err) == str(ref_err)
+    assert re.fullmatch(r"Jacobian determinant \S+ <= 0 at node \(\d+, \d+\)", str(err))
+    assert err.node == ref_err.node and err.value == ref_err.value
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_source_map_failure_past_the_first_block_names_its_sample(mode):
+    g, params = unit_grid(), default_params()
+    k = block_len(g) + 3
+    eng, states, maps = marched(mode, g, 2 * block_len(g) + 3, params)
+    delta = maps.delta.copy()
+    delta[k, 2, 3] = -0.5
+    with pytest.raises(DiffeoFailure, match=r"^Jacobian determinant -5\.000e-01 <= 0 at node \(2, 3\)$") as exc:
+        eng.evaluate(states, DiffeoMap(g, maps.X, maps.B, delta, maps.A))
+    assert exc.value.sample == k and exc.value.node == (2, 3)
+
+
+def test_plate_split_failure_past_the_first_block_names_its_sample():
+    g, params = unit_grid(), default_params()
+    k = block_len(g) + 3
+    eng, states, maps = marched("global", g, 2 * block_len(g) + 3, params)
+    # the nearly cancelling top row of the one-state check in test_nonlinear_sources
+    f = np.full(g.shape, 1e4)
+    f[:, -1] = 1e-3
+    rho, theta = states.rho.values.copy(), states.theta.values.copy()
+    rho[k] = theta[k] = f
+    bad = dataclasses.replace(states, rho=FluidField(g, rho), theta=FluidField(g, theta))
+    with pytest.raises(NumericsError, match=rf"^plate-source split failed to recombine, defect \S+ at sample {k}$") as exc:
+        eng.evaluate(bad, maps)
+    assert exc.value.sample == k
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_trajectory_after_a_map_failure_past_the_first_block_stops_there(mode):
+    g, params = unit_grid(), default_params()
+    k, nt = block_len(g) + 3, 2 * block_len(g) + 3
+    cfg = IterationConfig(T=(nt - 1) * 0.01, dt=0.01, beta=0.1)
+    # at rest until one velocity kick at sample k folds the map
+    bundle = SourceBundle.zeros(g, nt, cfg.dt, with_hat=mode == "global")
+    bundle.f2[k] = 1e7 * shear(g)
+    runner, st0 = (run_local, steady_state(g)) if mode == "local" else (run_global, steady_state(g, 0.0, 0.0))
+    traj, rep = runner(st0, cfg, params, first_bundle=bundle)
+    assert rep.status == "diffeo-failure" and rep.iterations == 0
+    assert re.fullmatch(r"Jacobian determinant \S+ <= 0 at node \(\d+, \d+\)", rep.message)
+    assert len(traj) == len(traj.maps.delta) == len(rep.state_norms) == k
+
+
+def transient_bytes(call, output_arrays):
+    """Peak bytes allocated by call() under tracemalloc, less its output arrays."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before - sum(a.nbytes for a in output_arrays(out))
+
+
+def test_transient_memory_of_evaluate_and_map_rebuild_does_not_grow_with_the_horizon():
+    g, params = unit_grid(), default_params()
+    short, long = block_len(g), 4 * block_len(g) + 3
+    eng, states, maps = marched("global", g, long, params)
+    bundle_arrays = lambda b: (b.f1, b.f2, b.f3, b.g, b.h, b.h_hat)
+    map_arrays = lambda out: (out[0].X, out[0].B, out[0].delta, out[0].A)
+    v = states.v.values
+    used = {}
+    for nt in (short, long):
+        sl = slice(0, nt)
+        used[nt] = (
+            transient_bytes(lambda: eng.evaluate(states.sample(sl), maps.sample(sl)), bundle_arrays),
+            transient_bytes(lambda: fp._maps_from_history(eng.X0, v[sl], eng.cfg.dt, eng.c0), map_arrays),
+        )
+    for layer, a, b in zip(("evaluate", "map rebuild"), used[short], used[long]):
+        assert 0 < b < 1.5 * a, (layer, a, b)

@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsilab import linear_subsystems as ls
 from fsilab.chgvar import build_diffeo
 from fsilab.core_grid import BeamField, FluidField, build_grid
 from fsilab.errors import ConfigError
@@ -593,3 +594,25 @@ def test_convergence_report_mean_order():
     rep = manufactured_convergence("velocity", "sin-product", (8, 16, 32))
     assert rep.mean_order == pytest.approx(float(np.mean(rep.orders)))
     assert rep.stepper == "velocity"
+
+
+def test_manufactured_families_keep_their_closed_forms_bit_for_bit():
+    # the trig factors are taken once per grid; every sample is the
+    # closed form evaluated left to right, as when each step took its own
+    g = unit_grid(12)
+    p = PhysParams(mu=0.7, alpha=0.2, kappa=1.3, c_v=0.9)
+    xx, yy = g.xx, g.yy
+    kb = p.kappa / p.c_v
+    heat, heat_f = ls._heat_family(g, p)
+    vel, vel_f = ls._velocity_family(g, p)
+    for t in (0.0, 0.0125, 0.05):
+        want = np.exp(-t) * np.cos(np.pi * xx) * np.cos(np.pi * yy)
+        assert heat(t).tobytes() == want.tobytes()
+        assert heat_f(t).tobytes() == ((-1.0 + 2.0 * np.pi**2 * kb) * want).tobytes()
+        v = np.zeros(g.shape + (2,))
+        v[..., 0] = np.exp(-t) * np.sin(np.pi * xx) * np.sin(np.pi * yy)
+        assert vel(t).tobytes() == v.tobytes()
+        f = np.empty(g.shape + (2,))
+        f[..., 0] = (-1.0 + 2.0 * np.pi**2 * p.mu + np.pi**2 * (p.mu + p.alpha)) * (np.sin(np.pi * xx) * np.sin(np.pi * yy))
+        f[..., 1] = -(p.mu + p.alpha) * np.pi**2 * (np.cos(np.pi * xx) * np.cos(np.pi * yy))
+        assert vel_f(t).tobytes() == (np.exp(-t) * f).tobytes()
