@@ -47,7 +47,7 @@ from .linear_subsystems import (
     step_density,
     step_plate,
 )
-from .nonlinear_sources import FullState, check_compatibility, eval_global_sources, eval_local_sources
+from .nonlinear_sources import FullState, _exponent_problems, check_compatibility, eval_global_sources, eval_local_sources
 from .fs_operator import _sbp_gradient, assemble_coupled, pack_fields, unpack_fields
 from .mirror import MirrorBlocks
 
@@ -64,7 +64,7 @@ class IterationConfig:
     norm) at run time. beta weights time norms in the global regime.
     p and q are the temporal and spatial exponents; they must sit in
     the open ranges (2, inf) and (3, inf) and avoid the resonant line
-    1/p + 1/(2q) = 1/2.
+    1/p + 1/(2q) = 1/2, by the rule the compatibility report applies.
     """
 
     T: float
@@ -79,7 +79,7 @@ class IterationConfig:
     def __post_init__(self):
         problems = []
         bad = problems.append
-        T, dt, p, q = self.T, self.dt, self.p, self.q
+        T, dt = self.T, self.dt
         if not 0 < T < math.inf:
             bad(f"horizon T must be positive and finite, got {T:g}")
         if not dt > 0:
@@ -96,12 +96,7 @@ class IterationConfig:
             bad(f"ball radius R must be positive when given, got {self.R:g}")
         if not 0 <= self.beta < math.inf:
             bad(f"decay weight beta must be nonnegative and finite, got {self.beta:g}")
-        if not p > 2:
-            bad(f"time exponent p must exceed 2, got {p:g}")
-        if not q > 3:
-            bad(f"space exponent q must exceed 3, got {q:g}")
-        if p > 2 and q > 3 and abs(1.0 / p + 1.0 / (2.0 * q) - 0.5) < 1e-12:
-            bad(f"resonant exponent pair p={p:g}, q={q:g} (1/p + 1/(2q) = 1/2)")
+        problems += _exponent_problems(self.p, self.q)
         if problems:
             raise ConfigError.from_problems(problems)
 
@@ -209,25 +204,19 @@ def _qnorms(w: np.ndarray, a: np.ndarray, q: float) -> np.ndarray:
     return _qth_root(np.sum(w * np.abs(a) ** q, axis=axes), q)
 
 
+def _slots(b: SourceBundle) -> tuple:
+    return b.f1, b.f2, b.f3, b.g, b.h, b.h_hat
+
+
 def _bundle_series(q: float, new: SourceBundle, old: SourceBundle | None = None) -> np.ndarray:
     """Per-sample magnitude of a source bundle, or of its difference to
-    old, taken one block of samples at a time.
-
-    A missing spatially constant forcing is left out of a single bundle
-    and counts as zeros against another bundle's.
-    """
-    def fields(b: SourceBundle):
-        return b.f1, b.f2, b.f3, b.g, b.h
-
-    hat = new.h_hat
-    if old is not None:
-        hat = np.subtract(*(b.h_hat if b.h_hat is not None else np.zeros(b.nt) for b in (new, old)))
+    old, taken one block of samples at a time."""
     out = np.empty(new.nt)
     for sl in _sample_blocks(new.nt, new.grid.n_nodes):
-        parts = [a[sl] for a in fields(new)]
+        parts = [a[sl] for a in _slots(new)]
         if old is not None:
-            parts = [a - b[sl] for a, b in zip(parts, fields(old))]
-        out[sl] = _magnitudes(new.grid, q, *parts, None if hat is None else hat[sl])
+            parts = [a - b[sl] for a, b in zip(parts, _slots(old))]
+        out[sl] = _magnitudes(new.grid, q, *parts)
     return out
 
 
@@ -246,9 +235,8 @@ def _magnitudes(grid: Grid2D, q: float, f1, f2, f3, g, h, h_hat) -> np.ndarray:
         _qnorms(w, f3, q),
         np.max(np.abs(g[:, grid.mask_boundary]), axis=-1),
         _qnorms(grid.beam_weights, h, q),
+        np.abs(h_hat),
     ]
-    if h_hat is not None:
-        mags.append(np.abs(h_hat))
     return np.max(mags, axis=0)
 
 
@@ -318,10 +306,7 @@ def _preflight(initial: FullState, cfg: IterationConfig, params: PhysParams, mod
 
 def _same_bundle(a: SourceBundle, b: SourceBundle) -> bool:
     """Slot-by-slot value equality; -0.0 matches +0.0."""
-    if (a.h_hat is None) != (b.h_hat is None):
-        return False
-    pairs = zip((a.f1, a.f2, a.f3, a.g, a.h, a.h_hat), (b.f1, b.f2, b.f3, b.g, b.h, b.h_hat))
-    return all(x is None or np.array_equal(x, y) for x, y in pairs)
+    return all(np.array_equal(x, y) for x, y in zip(_slots(a), _slots(b)))
 
 
 def _picard(march, evaluate, bundle0: SourceBundle, cfg: IterationConfig, R: float, beta: float, data_scale: float):
@@ -420,11 +405,11 @@ class _Engine:
 
         Every sample's sources are its own, so the bundle is bit for bit
         one evaluation of the whole stack; a failure names its sample in
-        the whole stack.
+        the whole stack. The local sources leave h_hat at zero.
         """
         dt, nt = self.cfg.dt, len(states.t)
-        bundle = SourceBundle.zeros(self.grid, nt, dt, with_hat=self.mode == "global")
-        slots = (bundle.f1, bundle.f2, bundle.f3, bundle.g, bundle.h, bundle.h_hat)
+        bundle = SourceBundle.zeros(self.grid, nt, dt)
+        slots = _slots(bundle)
         for sl in _sample_blocks(nt, self.grid.n_nodes):
             try:
                 parts = evaluator(
@@ -492,10 +477,11 @@ class _GlobalEngine(_Engine):
     The generator commutes with the mirror x -> L - x (`MirrorBlocks`
     certifies it), so the march runs in the mirror's even/odd
     coordinates: one factor of the block-diagonal I/dt - A, with about
-    half the fill of the full matrix, and one solve per step. The forcing
-    and the initial state are split once per march, the trajectory is
-    lifted once, and the march's work arrays are gone before the maps are
-    rebuilt from the lifted fields.
+    half the fill of the full matrix. Each step builds its forcing as
+    fields, packs it with `pack_fields`, splits it, makes one solve and
+    lifts and unpacks the new sample into the output fields. No
+    whole-horizon array is kept beyond the outputs: the shifted heat
+    solve is overwritten by the temperature.
     """
 
     mode = "global"
@@ -508,8 +494,8 @@ class _GlobalEngine(_Engine):
         self.mirror = MirrorBlocks(op)
         march = sp.identity(self.layout.total, format="csr") / cfg.dt - op.matrix
         self.lu = _splu(self.mirror.block_diagonal(march), "coupled march")
-        # the pressure gradient at the velocity unknowns
-        self.grad_v = sp.vstack(_sbp_gradient(self.grid), format="csr")[self.layout.v_inner]
+        # the stacked SBP gradient (d/dx; d/dy) at the nodes
+        self.grad = sp.vstack(_sbp_gradient(self.grid), format="csr")
         rho_ref = FluidField(self.grid, np.full(self.grid.shape, params.rho_bar))
         self.sharp_step = TemperatureStepper(
             self.grid, _identity_metrics(self.grid), rho_ref, params, cfg.dt, gamma1=GAMMA1
@@ -517,8 +503,7 @@ class _GlobalEngine(_Engine):
 
     def march(self, bundle: SourceBundle):
         grid, dt, nt = self.grid, self.cfg.dt, self.cfg.nt
-        initial = self.initial
-        layout, lu = self.layout, self.lu
+        initial, layout, mirror = self.initial, self.layout, self.mirror
         R0, rho_bar, theta_bar = self.params.R0, self.params.rho_bar, self.params.theta_bar
         area, w = grid.area, grid.weights
 
@@ -531,42 +516,37 @@ class _GlobalEngine(_Engine):
         f1_avg = np.tensordot(bundle.f1, w, axes=([1, 2], [0, 1])) / area
         rho_flat0 = (integrate_fluid(grid, initial.rho.values) + rho_bar * integrate_beam(grid, initial.eta1.values)) / area
         rho_flat = rho_flat0 + _cumtrapz(f1_avg, dt)
-        h_hat = bundle.h_hat if bundle.h_hat is not None else np.zeros(nt)
+        # the spatially constant plate forcing Fd joins the beam-velocity
+        # rows, so one march carries it
+        Fd = bundle.h_hat + R0 * theta_bar * rho_flat + R0 * rho_bar * th_flat
+        no_deflection = np.zeros(grid.nx + 1)
 
-        # forcing of every step at once; the spatially constant plate
-        # forcing Fd joins the beam-velocity rows, so one march carries it
-        steps = nt - 1
-        ts = th_sharp[1:].reshape(steps, -1).T
-        F = np.zeros((steps, layout.total))
-        F[:, layout.sl_rho] = (bundle.f1[1:] - f1_avg[1:, None, None]).reshape(steps, -1)
-        F[:, layout.sl_v] = np.moveaxis(bundle.f2[1:], -1, 1).reshape(steps, -1)[:, layout.v_inner]
-        F[:, layout.sl_v] -= R0 * (self.grad_v @ ts).T
-        F[:, layout.sl_theta] = GAMMA1 * (th_sharp[1:] - th_avg[1:, None, None]).reshape(steps, -1)
-        Fd = h_hat[1:] + R0 * theta_bar * rho_flat[1:] + R0 * rho_bar * th_flat[1:]
-        F[:, layout.sl_eta2] = bundle.h[1:, 1:-1] + R0 * rho_bar * th_sharp[1:, 1:-1, -1] + Fd[:, None]
-
-        # backward Euler in the mirror's block coordinates, one solve per step
-        coords = np.empty((nt, layout.total))
-        coords[0] = self.mirror.split(pack_fields(
-            layout,
-            initial.rho.values - rho_flat[0],
-            initial.v.values,
-            np.zeros(grid.shape),
-            initial.eta1.values,
-            initial.eta2.values,
+        # backward Euler in the mirror's block coordinates, one solve per
+        # step; each sample is unpacked as it is made, and the temperature
+        # takes the place of the shifted heat solve that drove its step
+        rho = np.empty((nt,) + grid.shape)
+        v = np.empty((nt,) + grid.shape + (2,))
+        e1, e2 = np.empty((nt, grid.nx + 1)), np.empty((nt, grid.nx + 1))
+        c = mirror.split(pack_fields(
+            layout, initial.rho.values - rho_flat[0], initial.v.values, np.zeros(grid.shape),
+            initial.eta1.values, initial.eta2.values,
         ))
-        # each work array is dropped once used: only the fields live on
-        # into the map rebuild
-        G = self.mirror.split(F)
-        del F
-        for n in range(steps):
-            coords[n + 1] = lu.solve(coords[n] / dt + G[n])
-        del G
-        rho_c, v_c, th_c, e1, e2 = unpack_fields(layout, self.mirror.lift(coords))
-        del coords
-        rho, theta = rho_c + rho_flat[:, None, None], th_c + th_sharp + th_flat[:, None, None]
-        del rho_c, th_c, th_sharp
-        return self._stacks(rho, v_c, theta, e1, e2, (True, True))
+        for n in range(nt):
+            if n:
+                grad = np.moveaxis((self.grad @ th_sharp[n].ravel()).reshape((2,) + grid.shape), 0, -1)
+                forcing = pack_fields(
+                    layout,
+                    bundle.f1[n] - f1_avg[n],
+                    bundle.f2[n] - R0 * grad,
+                    GAMMA1 * (th_sharp[n] - th_avg[n]),
+                    no_deflection,
+                    bundle.h[n] + R0 * rho_bar * th_sharp[n, :, -1] + Fd[n],
+                )
+                c = self.lu.solve(c / dt + mirror.split(forcing))
+            rho_c, v[n], th_c, e1[n], e2[n] = unpack_fields(layout, mirror.lift(c))
+            rho[n] = rho_c + rho_flat[n]
+            th_sharp[n] = th_c + th_sharp[n] + th_flat[n]
+        return self._stacks(rho, v, th_sharp, e1, e2, (True, True))
 
     def evaluate(self, states: FullState, maps: DiffeoMap) -> SourceBundle:
         return self._sources(states, maps, eval_global_sources, self.params)
@@ -574,16 +554,12 @@ class _GlobalEngine(_Engine):
 
 def _start(engine, initial: FullState, cfg: IterationConfig, params: PhysParams | None, bundle: SourceBundle | None):
     """Start-up shared by the four drivers: the first source bundle,
-    zeros unless given, checked before anything is factored (the global
-    regime's bundle carries the split plate forcing), and the engine,
-    with default parameters unless given."""
-    want_hat = engine.mode == "global"
+    zeros unless given, checked before anything is factored, and the
+    engine, with default parameters unless given."""
     if bundle is None:
-        bundle = SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt, with_hat=want_hat)
+        bundle = SourceBundle.zeros(initial.grid, cfg.nt, cfg.dt)
     if bundle.nt != cfg.nt:
         raise ConfigError(f"bundle has {bundle.nt} samples, horizon needs {cfg.nt}")
-    if want_hat and bundle.h_hat is None:
-        raise ConfigError("the global iteration needs a bundle with the split plate forcing (h_hat)")
     return engine(initial, cfg, params if params is not None else default_params()), bundle
 
 

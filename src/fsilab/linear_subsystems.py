@@ -101,13 +101,13 @@ def default_params(**overrides) -> PhysParams:
 
 @dataclass(frozen=True)
 class SourceBundle:
-    """Time series of the five source slots driving one linear march.
+    """Time series of the six source slots driving one linear march.
 
     Arrays stack time along axis 0 on a shared uniform time grid:
     f1 (nt, nx+1, ny+1), f2 (nt, nx+1, ny+1, 2), f3 like f1, g like f1
     with meaningful values on boundary nodes only, h (nt, nx+1) on the
-    beam. The optional h_hat carries a spatially constant beam forcing
-    series kept separate from h; the plate consumes h + h_hat.
+    beam. h_hat (nt,) carries a spatially constant beam forcing series
+    kept separate from h, zeros unless given; the plate consumes h + h_hat.
     """
 
     grid: Grid2D
@@ -130,7 +130,9 @@ class SourceBundle:
             raise ConfigError("f2 series must have shape (nt, nx+1, ny+1, 2)")
         if self.h.shape != (nt, self.grid.nx + 1):
             raise ConfigError("h series must have shape (nt, nx+1)")
-        if self.h_hat is not None and self.h_hat.shape != (nt,):
+        if self.h_hat is None:
+            object.__setattr__(self, "h_hat", np.zeros(nt))
+        elif self.h_hat.shape != (nt,):
             raise ConfigError("h_hat series must have shape (nt,)")
 
     @property
@@ -138,12 +140,10 @@ class SourceBundle:
         return self.f1.shape[0]
 
     def h_total(self, n: int) -> np.ndarray:
-        if self.h_hat is None:
-            return self.h[n]
         return self.h[n] + self.h_hat[n]
 
     @staticmethod
-    def zeros(grid: Grid2D, nt: int, dt: float, with_hat: bool = False) -> "SourceBundle":
+    def zeros(grid: Grid2D, nt: int, dt: float) -> "SourceBundle":
         shp = grid.shape
         return SourceBundle(
             grid,
@@ -153,7 +153,6 @@ class SourceBundle:
             np.zeros((nt,) + shp),
             np.zeros((nt,) + shp),
             np.zeros((nt, grid.nx + 1)),
-            np.zeros(nt) if with_hat else None,
         )
 
 

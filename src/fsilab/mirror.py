@@ -63,10 +63,10 @@ class MirrorBlocks:
         """mat on the block coordinates; mat must commute with the mirror."""
         return sp.block_diag([mat[rows] @ basis for rows, basis in self.bases], format="csc")
 
-    def split(self, states: np.ndarray) -> np.ndarray:
-        """Block coordinates of a state or of a stack (nt, n) of states."""
-        return np.ascontiguousarray((self._split @ np.asarray(states).T).T)
+    def split(self, state: np.ndarray) -> np.ndarray:
+        """Block coordinates of one state."""
+        return self._split @ state
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
-        """States of block coordinates, one or a stack (nt, n); C-contiguous."""
-        return np.ascontiguousarray((self.basis @ np.asarray(coords).T).T)
+        """The state of one vector of block coordinates."""
+        return self.basis @ coords

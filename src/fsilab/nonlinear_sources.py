@@ -392,6 +392,20 @@ class CompatReport:
         return out
 
 
+def _exponent_problems(p: float, q: float) -> list[str]:
+    """Why the exponent pair is inadmissible, empty when it is admissible:
+    p must exceed 2, q must exceed 3, and 1/p + 1/(2q) must stay 1e-9 or
+    more away from the resonant value 1/2."""
+    problems = []
+    if not p > 2:
+        problems.append(f"time exponent p must exceed 2, got {p:g}")
+    if not q > 3:
+        problems.append(f"space exponent q must exceed 3, got {q:g}")
+    if not problems and abs(1.0 / p + 1.0 / (2.0 * q) - 0.5) < 1e-9:
+        problems.append(f"resonant exponent pair p={p:g}, q={q:g} (1/p + 1/(2q) = 1/2)")
+    return problems
+
+
 def check_compatibility(initial: FullState, params: PhysParams, mode: str = "local", p: float = 4.0, q: float = 4.0) -> CompatReport:
     """Measure the trace and flux conditions a starting state must meet.
 
@@ -419,8 +433,6 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     e1 = initial.eta1.values
     e2 = initial.eta2.values
 
-    exf = 1.0 if (p > 2 and q > 2 and min(abs(strength - 0.5), abs(strength - 1.0)) > 1e-9) else 0.0
-
     if mode == "local":
         neg = max(0.0, -float(np.min(rho)) + (1.0 if np.min(rho) <= 0 else 0.0))
     else:
@@ -438,7 +450,7 @@ def check_compatibility(initial: FullState, params: PhysParams, mode: str = "loc
     flux = np.einsum("...a,...a->...", ops.grad(theta), ops.normals)
 
     conditions = (
-        CompatCondition("exponents-admissible", True, 1.0 - exf, 0.5),
+        CompatCondition("exponents-admissible", True, float(bool(_exponent_problems(p, q))), 0.5),
         CompatCondition("density-positive", True, neg, 0.0),
         CompatCondition("beam-clamped-value", True, float(max(abs(e1[0]), abs(e1[-1]))), 1e-10 * escale),
         CompatCondition("beam-clamped-slope", True, float(max(abs(slope1[0]), abs(slope1[-1]))), slope_tol * escale),

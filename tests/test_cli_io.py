@@ -661,15 +661,6 @@ def test_cli_seed_flag_overrides(tmp_path):
     assert "seed = 9" in (tmp_path / "r" / "config.txt").read_text()
 
 
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    target = tmp_path / "redirected"
-    monkeypatch.setenv("FSILAB_OUT", str(target))
-    cfg = parse_config("mode = local\nnx = 8\nT = 0.05\ndt = 0.025\nout_dir = ignored\n")
-    report = run_scenario(cfg)
-    assert report.passed
-    assert (target / "report.txt").exists()
-
-
 def test_run_config_helpers():
     cfg = RunConfig(mode="global", nx=8, ny=8, T=0.2, dt=0.05, beta=0.3)
     it = cfg.iteration()

@@ -40,7 +40,7 @@ from fsilab.fixed_point import (
 from fsilab.fs_operator import assemble_coupled
 from fsilab.linear_subsystems import SourceBundle, default_params, plate_energy
 from fsilab.mirror import MirrorBlocks
-from fsilab.nonlinear_sources import FullState, eval_global_sources, eval_local_sources
+from fsilab.nonlinear_sources import FullState, check_compatibility, eval_global_sources, eval_local_sources
 
 
 def unit_grid(n=8):
@@ -157,6 +157,25 @@ def test_config_rejects_resonant_exponents():
     # 1/2.5 + 1/(2*5) = 0.5 exactly
     with pytest.raises(ConfigError):
         IterationConfig(T=1.0, dt=0.1, p=2.5, q=5.0)
+
+
+@pytest.mark.parametrize(
+    "p, q, admissible",
+    [
+        (4.0, 2.5, False),  # q in (2, 3]
+        (2.5, 5.000000005, False),  # 1e-10 off the resonant line 1/p + 1/(2q) = 1/2
+        (2.5, 5.00001, True),
+    ],
+)
+def test_config_and_compatibility_apply_one_exponent_rule(p, q, admissible):
+    row = {c.name: c for c in check_compatibility(steady_state(unit_grid()), default_params(), p=p, q=q).conditions}
+    assert row["exponents-admissible"].passed is admissible
+    try:
+        IterationConfig(T=1.0, dt=0.1, p=p, q=q)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted is admissible
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,15 +484,6 @@ def test_global_requires_global_params():
         run_global(st0, IterationConfig(T=0.1, dt=0.05, beta=0.1), params=default_params(pi0=-2.0))
 
 
-def test_global_rejects_bundle_without_hat():
-    g = unit_grid()
-    z = np.zeros(g.shape)
-    st0 = make_state(g, z, np.zeros(g.shape + (2,)), z, np.zeros(g.nx + 1), np.zeros(g.nx + 1))
-    cfg = IterationConfig(T=0.1, dt=0.05, beta=0.1)
-    with pytest.raises(ConfigError):
-        run_global(st0, cfg, first_bundle=SourceBundle.zeros(g, cfg.nt, cfg.dt, with_hat=False))
-
-
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_samples_are_stamped_from_the_initial_time(mode):
     g = unit_grid(6)
@@ -536,7 +546,7 @@ def test_steady_global_run_keeps_its_single_march(monkeypatch):
     traj, rep = run_global(st0, cfg)
     assert rep.converged and rep.iterations == 1
     assert len(calls) == 1
-    ref = march_global(st0, cfg, bundle=SourceBundle.zeros(g, cfg.nt, cfg.dt, with_hat=True))
+    ref = march_global(st0, cfg, bundle=SourceBundle.zeros(g, cfg.nt, cfg.dt))
     assert len(traj) == len(ref) == cfg.nt
     for f in ("rho", "v", "theta", "eta1", "eta2"):
         assert same_bits(getattr(traj.states, f).values, getattr(ref.states, f).values)
@@ -754,21 +764,21 @@ def test_every_march_factor_solves_to_round_off(monkeypatch):
 
 
 def test_mirror_blocks_split_and_lift_whole_stacks():
+    # every state of a stack splits and lifts on its own, as the march does
     g = unit_grid(8)
     params = default_params()
     op = assemble_coupled(g, params)
     mirror = MirrorBlocks(op)
     M = (sp.identity(op.shape[0], format="csr") / 0.01 - op.matrix).tocsr()
     X = np.random.default_rng(4).standard_normal((6, op.shape[0]))
-    Y = mirror.split(X)
-    back = mirror.lift(Y)
-    assert Y.flags.c_contiguous and back.flags.c_contiguous
+    Y = np.array([mirror.split(x) for x in X])
+    back = np.array([mirror.lift(y) for y in Y])
     assert np.max(np.abs(back - X)) <= 4e-16 * np.max(np.abs(X))
     # the block-diagonal matrix acts on block coordinates as M acts on states
     BD = mirror.block_diagonal(M)
     MX = (M @ X.T).T
     assert np.max(np.abs(BD @ Y[2] - mirror.split(MX[2]))) <= 1e-12 * np.max(np.abs(MX))
-    assert np.max(np.abs(mirror.lift((BD @ Y.T).T) - MX)) <= 1e-12 * np.max(np.abs(MX))
+    assert np.max(np.abs(np.array([mirror.lift(BD @ y) for y in Y]) - MX)) <= 1e-12 * np.max(np.abs(MX))
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])
@@ -861,9 +871,11 @@ def test_blocked_evaluate_equals_one_evaluation_of_the_stack(mode):
     else:
         ref = eval_global_sources(states, maps, params, **rates)
     got = eng.evaluate(states, maps)
-    slots = [got.f1, got.f2, got.f3, got.g, got.h] + ([got.h_hat] if mode == "global" else [])
+    slots = [got.f1, got.f2, got.f3, got.g, got.h, got.h_hat]
+    if mode == "local":
+        # the local sources have no split plate forcing: that slot stays zero
+        ref = (*ref, np.zeros(nt))
     assert len(slots) == len(ref)
-    assert mode == "global" or got.h_hat is None
     for k, (a, b) in enumerate(zip(slots, ref)):
         assert np.array_equal(a, b) and same_bits(a, b), k
 
@@ -914,7 +926,7 @@ def test_trajectory_after_a_map_failure_past_the_first_block_stops_there(mode):
     k, nt = block_len(g) + 3, 2 * block_len(g) + 3
     cfg = IterationConfig(T=(nt - 1) * 0.01, dt=0.01, beta=0.1)
     # at rest until one velocity kick at sample k folds the map
-    bundle = SourceBundle.zeros(g, nt, cfg.dt, with_hat=mode == "global")
+    bundle = SourceBundle.zeros(g, nt, cfg.dt)
     bundle.f2[k] = 1e7 * shear(g)
     runner, st0 = (run_local, steady_state(g)) if mode == "local" else (run_global, steady_state(g, 0.0, 0.0))
     traj, rep = runner(st0, cfg, params, first_bundle=bundle)

@@ -98,13 +98,13 @@ def test_source_bundle_zeros_shapes():
     b = SourceBundle.zeros(g, 5, 0.1)
     assert b.nt == 5
     assert b.f2.shape == (5, 9, 9, 2)
-    assert b.h_hat is None
+    assert b.h_hat.shape == (5,) and not np.any(b.h_hat)
     assert np.array_equal(b.h_total(2), b.h[2])
 
 
 def test_source_bundle_hat_adds_to_plate_forcing():
     g = unit_grid(8)
-    b = SourceBundle.zeros(g, 3, 0.1, with_hat=True)
+    b = SourceBundle.zeros(g, 3, 0.1)
     b.h_hat[1] = 2.5
     assert np.allclose(b.h_total(1), 2.5)
     assert np.allclose(b.h_total(0), 0.0)

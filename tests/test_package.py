@@ -86,3 +86,18 @@ def test_no_process_wide_caches(module):
         or (isinstance(node, ast.Name) and node.id in banned)
     ]
     assert uses == []
+
+
+LAYOUT_INDEX = {
+    "sl_rho", "sl_vx", "sl_vy", "sl_v", "sl_theta", "sl_eta1", "sl_eta2",
+    "v_inner", "v_trace", "interior_flat", "top_flat",
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_state_vector_layout_is_read_in_two_modules(module):
+    # one owner of the state-vector format: fs_operator packs and unpacks
+    # it, the mirror permutes it, and everything else goes through them
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"fsilab.{module}")))
+    reads = sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in LAYOUT_INDEX})
+    assert module in ("fs_operator", "mirror") or reads == []
