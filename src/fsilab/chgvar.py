@@ -82,19 +82,27 @@ def build_cutoff(grid: Grid2D) -> CutoffProfile:
 
 @dataclass(frozen=True)
 class DiffeoMap:
-    """Map samples with their metric triplet.
+    """A map is its positions X, with the determinant delta of their
+    centered-difference Jacobian.
 
-    X holds positions, B the cofactor of the centered-difference
-    Jacobian, delta its determinant and A = B^T B / delta the conormal
-    tensor. All tensors live at fluid grid nodes; a map series stacks
-    its samples along a leading time axis of every array.
+    The cofactor B and the conormal tensor A = B^T B / delta are
+    functions of X alone: each is built on its first read and kept with
+    the map. All arrays live at fluid grid nodes; a map series stacks
+    its samples along a leading time axis, so read B and A off a block
+    of samples (`sample`), not off a whole series.
     """
 
     grid: Grid2D
     X: np.ndarray
-    B: np.ndarray
     delta: np.ndarray
-    A: np.ndarray
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _cofactor(self.grid, self.X)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _conormal(self.B, self.delta)
 
     @property
     def gradX(self) -> np.ndarray:
@@ -108,13 +116,12 @@ class DiffeoMap:
 
     def sample(self, n: int) -> "DiffeoMap":
         """The n-th map of a series, as views into its arrays (a slice keeps a series)."""
-        return DiffeoMap(self.grid, self.X[n], self.B[n], self.delta[n], self.A[n])
+        return DiffeoMap(self.grid, self.X[n], self.delta[n])
 
     @staticmethod
     def stack(maps) -> "DiffeoMap":
         """Stack single maps into a series along a leading time axis."""
-        fields = ("X", "B", "delta", "A")
-        return DiffeoMap(maps[0].grid, *(np.stack([getattr(m, f) for m in maps]) for f in fields))
+        return DiffeoMap(maps[0].grid, np.stack([m.X for m in maps]), np.stack([m.delta for m in maps]))
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,22 @@ def _cof2(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det2(g: np.ndarray) -> np.ndarray:
-    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+def _cofactor(grid: Grid2D, X: np.ndarray) -> np.ndarray:
+    """Cof of the Jacobian d_b X_a, written straight from the four first
+    differences: the bits of _cof2(grad_vector(X))."""
+    ops = grid.ops
+    B = np.empty(X.shape + (2,))
+    B[..., 0, 0] = ops.dy(X[..., 1])
+    B[..., 0, 1] = -ops.dx(X[..., 1])
+    B[..., 1, 0] = -ops.dy(X[..., 0])
+    B[..., 1, 1] = ops.dx(X[..., 0])
+    return B
+
+
+def _jacobian_det(grid: Grid2D, X: np.ndarray) -> np.ndarray:
+    """Determinant g00 g11 - g01 g10 of the Jacobian g = grad_vector(X), bit for bit."""
+    ops = grid.ops
+    return ops.dx(X[..., 0]) * ops.dy(X[..., 1]) - ops.dy(X[..., 0]) * ops.dx(X[..., 1])
 
 
 def _conormal(B: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -179,11 +200,11 @@ def metric_tensors(grid: Grid2D, X: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     X may carry a leading time axis. A determinant <= 0 anywhere raises
     the diffeomorphism failure at the first such sample.
     """
-    g = grid.ops.grad_vector(X)
-    B, delta = _cof2(g), _det2(g)
+    delta = _jacobian_det(grid, X)
     err = _floor_failure(delta, 0.0)
     if err is not None:
         raise err
+    B = _cofactor(grid, X)
     return B, delta, _conormal(B, delta)
 
 
@@ -192,27 +213,23 @@ def diffeo_series(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> tuple[DiffeoM
 
     Returns the map series of the samples before the first one whose
     determinant reaches the floor (<= 0, or <= c0 when c0 > 0), and
-    that failure, or None when all samples clear it. Every sample is
-    bit for bit what build_diffeo gives for it alone. The tensors are
-    built one block of samples at a time into stacks allocated once, and
-    the build stops at the block that holds the failure.
+    that failure, or None when all samples clear it. The series holds
+    the positions and the determinants, built one block of samples at a
+    time into one stack, and the build stops at the block that holds
+    the failure; every sample's B and A, read off a block, are bit for
+    bit what build_diffeo gives for it alone.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 4 or X.shape[1:] != grid.shape + (2,):
         raise ConfigError(f"map series has shape {X.shape}, expected (nt,) + {grid.shape + (2,)}")
-    B = np.empty(X.shape + (2,))
     delta = np.empty(X.shape[:-1])
-    A = np.empty_like(B)
     for sl in _sample_blocks(len(X), grid.n_nodes):
-        gradX = grid.ops.grad_vector(X[sl])
-        delta[sl] = _det2(gradX)
+        delta[sl] = _jacobian_det(grid, X[sl])
         err = _floor_failure(delta[sl], c0)
-        end = sl.stop if err is None else sl.start + err.sample
-        B[sl.start : end] = _cof2(gradX[: end - sl.start])
-        A[sl.start : end] = _conormal(B[sl.start : end], delta[sl.start : end])
         if err is not None:
-            return DiffeoMap(grid, X[:end], B[:end], delta[:end], A[:end]), _rebased(err, sl.start)
-    return DiffeoMap(grid, X, B, delta, A), None
+            end = sl.start + err.sample
+            return DiffeoMap(grid, X[:end], delta[:end]), _rebased(err, sl.start)
+    return DiffeoMap(grid, X, delta), None
 
 
 def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
@@ -220,12 +237,11 @@ def build_diffeo(grid: Grid2D, X: np.ndarray, c0: float = 0.0) -> DiffeoMap:
     X = np.asarray(X, dtype=float)
     if X.shape != grid.shape + (2,):
         raise ConfigError(f"map samples have shape {X.shape}, expected {grid.shape + (2,)}")
-    gradX = grid.ops.grad_vector(X)
-    B, delta = _cof2(gradX), _det2(gradX)
+    delta = _jacobian_det(grid, X)
     err = _floor_failure(delta, c0)
     if err is not None:
         raise err
-    return DiffeoMap(grid, X, B, delta, _conormal(B, delta))
+    return DiffeoMap(grid, X, delta)
 
 
 def initial_diffeo(eta1_0: BeamField, chi: CutoffProfile, n_flow_steps: int = 64) -> DiffeoMap:

@@ -41,6 +41,7 @@ from .linear_subsystems import (
     TemperatureStepper,
     VelocityStepper,
     _identity_metrics,
+    _slot_shapes,
     _splu,
     default_params,
     plate_energy,
@@ -405,10 +406,11 @@ class _Engine:
 
         Every sample's sources are its own, so the bundle is bit for bit
         one evaluation of the whole stack; a failure names its sample in
-        the whole stack. The local sources leave h_hat at zero.
+        the whole stack. Every field slot is written; the local sources
+        leave h_hat at zero.
         """
         dt, nt = self.cfg.dt, len(states.t)
-        bundle = SourceBundle.zeros(self.grid, nt, dt)
+        bundle = SourceBundle(self.grid, dt, *(np.empty((nt,) + s) for s in _slot_shapes(self.grid)))
         slots = _slots(bundle)
         for sl in _sample_blocks(nt, self.grid.n_nodes):
             try:

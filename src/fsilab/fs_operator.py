@@ -61,7 +61,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .core_grid import BeamField, FluidField, Grid2D, _stencil_matrix
+from .core_grid import Grid2D, _stencil_matrix
 from .errors import ConfigError, NumericsError
 from .linear_subsystems import (
     PhysParams,
@@ -74,7 +74,6 @@ from .linear_subsystems import (
     plate_operator,
 )
 from .mirror import MirrorBlocks
-from .nonlinear_sources import FullState
 
 __all__ = [
     "BlockLayout",
@@ -86,8 +85,6 @@ __all__ = [
     "assemble_block",
     "pack_fields",
     "unpack_fields",
-    "state_to_vector",
-    "vector_to_state",
     "constraint_functionals",
     "kernel_vectors",
     "kernel_dimension",
@@ -218,30 +215,6 @@ def unpack_fields(layout: BlockLayout, vec: np.ndarray):
     eta1[..., 1:-1] = vec[..., layout.sl_eta1]
     eta2[..., 1:-1] = vec[..., layout.sl_eta2]
     return rho, v, theta, eta1, eta2
-
-
-def state_to_vector(state: FullState, layout: BlockLayout) -> np.ndarray:
-    return pack_fields(
-        layout,
-        state.rho.values,
-        state.v.values,
-        state.theta.values,
-        state.eta1.values,
-        state.eta2.values,
-    )
-
-
-def vector_to_state(layout: BlockLayout, vec: np.ndarray, t: float = 0.0) -> FullState:
-    grid = layout.grid
-    rho, v, theta, eta1, eta2 = unpack_fields(layout, np.real(vec))
-    return FullState(
-        rho=FluidField(grid, rho),
-        v=FluidField(grid, v, kind="vector"),
-        theta=FluidField(grid, theta),
-        eta1=BeamField(grid, eta1, clamped=True),
-        eta2=BeamField(grid, eta2, clamped=True),
-        t=t,
-    )
 
 
 # ---------------------------------------------------------------- matrices

@@ -144,16 +144,16 @@ class SourceBundle:
 
     @staticmethod
     def zeros(grid: Grid2D, nt: int, dt: float) -> "SourceBundle":
-        shp = grid.shape
-        return SourceBundle(
-            grid,
-            dt,
-            np.zeros((nt,) + shp),
-            np.zeros((nt,) + shp + (2,)),
-            np.zeros((nt,) + shp),
-            np.zeros((nt,) + shp),
-            np.zeros((nt, grid.nx + 1)),
-        )
+        """Zero sources over nt samples. The five field slots are read-only
+        views of one zero sample, so a horizon of zeros holds one sample's
+        memory; h_hat is a writable zero series."""
+        return SourceBundle(grid, dt, *(np.broadcast_to(np.zeros(s), (nt,) + s) for s in _slot_shapes(grid)))
+
+
+def _slot_shapes(grid: Grid2D) -> tuple:
+    """Per-sample shapes of the field slots f1, f2, f3, g, h."""
+    shp = grid.shape
+    return shp, shp + (2,), shp, shp, (grid.nx + 1,)
 
 
 def _identity_metric(grid: Grid2D) -> np.ndarray:

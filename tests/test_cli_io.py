@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -522,6 +526,18 @@ def test_cli_run_and_report(tmp_path):
 def test_cli_missing_report_exits_2(tmp_path):
     rc, _, err = run_cli(["report", "--out", str(tmp_path / "nope")])
     assert rc == 2 and "no report" in err
+
+
+@pytest.mark.parametrize("args, code", [(["report", "--out", "nope"], 2), (["--help"], 0)])
+def test_package_runs_as_a_module(tmp_path, args, code):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsilab", *args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert ("no report found" in proc.stderr) if code else ("usage: fsilab" in proc.stdout)
 
 
 def test_cli_invalid_override_exits_2(tmp_path):

@@ -901,7 +901,7 @@ def test_source_map_failure_past_the_first_block_names_its_sample(mode):
     delta = maps.delta.copy()
     delta[k, 2, 3] = -0.5
     with pytest.raises(DiffeoFailure, match=r"^Jacobian determinant -5\.000e-01 <= 0 at node \(2, 3\)$") as exc:
-        eng.evaluate(states, DiffeoMap(g, maps.X, maps.B, delta, maps.A))
+        eng.evaluate(states, DiffeoMap(g, maps.X, delta))
     assert exc.value.sample == k and exc.value.node == (2, 3)
 
 
@@ -926,8 +926,10 @@ def test_trajectory_after_a_map_failure_past_the_first_block_stops_there(mode):
     k, nt = block_len(g) + 3, 2 * block_len(g) + 3
     cfg = IterationConfig(T=(nt - 1) * 0.01, dt=0.01, beta=0.1)
     # at rest until one velocity kick at sample k folds the map
-    bundle = SourceBundle.zeros(g, nt, cfg.dt)
-    bundle.f2[k] = 1e7 * shear(g)
+    zeros = SourceBundle.zeros(g, nt, cfg.dt)
+    f2 = np.zeros(zeros.f2.shape)
+    f2[k] = 1e7 * shear(g)
+    bundle = dataclasses.replace(zeros, f2=f2)
     runner, st0 = (run_local, steady_state(g)) if mode == "local" else (run_global, steady_state(g, 0.0, 0.0))
     traj, rep = runner(st0, cfg, params, first_bundle=bundle)
     assert rep.status == "diffeo-failure" and rep.iterations == 0
@@ -947,12 +949,36 @@ def transient_bytes(call, output_arrays):
     return peak - before - sum(a.nbytes for a in output_arrays(out))
 
 
+def test_a_picard_iteration_holds_a_state_a_map_and_a_bundle_per_sample():
+    # a map is its positions (2 floats a node) and determinant (1); the
+    # cofactor and conormal tensor are built from X on a block's read
+    assert [f.name for f in dataclasses.fields(DiffeoMap)] == ["grid", "X", "delta"]
+    # steady data converges at its first evaluation, whose peak holds the
+    # states (4 floats a node), their maps (3) and the new bundle (5); the
+    # zero first bundle holds one sample whatever the horizon
+    g = unit_grid(16)
+    peaks = {}
+    for nt in (block_len(g) + 1, 4 * block_len(g) + 1):
+        cfg = IterationConfig(T=(nt - 1) * 0.01, dt=0.01, beta=0.1)
+        tracemalloc.start()
+        try:
+            traj, rep = run_global(steady_state(g, 0.0, 0.0), cfg)
+            peaks[nt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations == 1 and len(traj) == nt
+        del traj
+    (short, low), (long, high) = peaks.items()
+    per_node_and_sample = (high - low) / ((long - short) * g.n_nodes)
+    assert per_node_and_sample <= (4 + 3 + 5) * 8 * 1.2, per_node_and_sample
+
+
 def test_transient_memory_of_evaluate_and_map_rebuild_does_not_grow_with_the_horizon():
     g, params = unit_grid(), default_params()
     short, long = block_len(g), 4 * block_len(g) + 3
     eng, states, maps = marched("global", g, long, params)
     bundle_arrays = lambda b: (b.f1, b.f2, b.f3, b.g, b.h, b.h_hat)
-    map_arrays = lambda out: (out[0].X, out[0].B, out[0].delta, out[0].A)
+    map_arrays = lambda out: (out[0].X, out[0].delta)
     v = states.v.values
     used = {}
     for nt in (short, long):
