@@ -430,7 +430,8 @@ def _mass_balance_drift(traj, mass: np.ndarray, params) -> float:
     grid, states = traj.grid, traj.states
     src = np.empty(len(traj))
     for sl in _sample_blocks(len(traj), grid.n_nodes):
-        src[sl] = integrate_fluid(grid, _global_density_source(states.sample(sl), traj.maps.sample(sl), params)[0])
+        maps = traj.maps.sample(sl)
+        src[sl] = integrate_fluid(grid, _global_density_source(states.sample(sl), maps.B, maps.delta, params)[0])
     injected = _cumtrapz(src, traj.dt)
     return float(np.max(np.abs(mass - mass[0] - injected)))
 

@@ -50,7 +50,6 @@ from .linear_subsystems import (
 )
 from .nonlinear_sources import FullState, _exponent_problems, check_compatibility, eval_global_sources, eval_local_sources
 from .fs_operator import _sbp_gradient, assemble_coupled, pack_fields, unpack_fields
-from .mirror import MirrorBlocks
 
 GAMMA1 = 1.0
 _FLOOR = 1e-30
@@ -476,10 +475,12 @@ class _GlobalEngine(_Engine):
     the marches each forcing drives. The march conserves the discrete
     mass and mean functionals exactly, step by step.
 
-    The generator commutes with the mirror x -> L - x (`MirrorBlocks`
-    certifies it), so the march runs in the mirror's even/odd
-    coordinates: one factor of the block-diagonal I/dt - A, with about
-    half the fill of the full matrix. Each step builds its forcing as
+    The generator commutes with the mirror x -> L - x (its view
+    `op.blocks` certifies it), so the march runs in the mirror's even/odd
+    coordinates: one factor of I/dt minus the view's block-diagonal
+    matrix, with about half the fill of the full matrix. The march reads
+    only the view's blocks, split and lift; the Gram and the projector
+    the scans use are never built here. Each step builds its forcing as
     fields, packs it with `pack_fields`, splits it, makes one solve and
     lifts and unpacks the new sample into the output fields. No
     whole-horizon array is kept beyond the outputs: the shifted heat
@@ -493,9 +494,9 @@ class _GlobalEngine(_Engine):
         super().__init__(initial, cfg, params)
         op = assemble_coupled(self.grid, params)
         self.layout = op.layout
-        self.mirror = MirrorBlocks(op)
-        march = sp.identity(self.layout.total, format="csr") / cfg.dt - op.matrix
-        self.lu = _splu(self.mirror.block_diagonal(march), "coupled march")
+        self.blocks = op.blocks
+        march = sp.identity(self.layout.total, format="csc") / cfg.dt - self.blocks.matrix
+        self.lu = _splu(march, "coupled march")
         # the stacked SBP gradient (d/dx; d/dy) at the nodes
         self.grad = sp.vstack(_sbp_gradient(self.grid), format="csr")
         rho_ref = FluidField(self.grid, np.full(self.grid.shape, params.rho_bar))
@@ -505,7 +506,7 @@ class _GlobalEngine(_Engine):
 
     def march(self, bundle: SourceBundle):
         grid, dt, nt = self.grid, self.cfg.dt, self.cfg.nt
-        initial, layout, mirror = self.initial, self.layout, self.mirror
+        initial, layout, blocks = self.initial, self.layout, self.blocks
         R0, rho_bar, theta_bar = self.params.R0, self.params.rho_bar, self.params.theta_bar
         area, w = grid.area, grid.weights
 
@@ -529,7 +530,7 @@ class _GlobalEngine(_Engine):
         rho = np.empty((nt,) + grid.shape)
         v = np.empty((nt,) + grid.shape + (2,))
         e1, e2 = np.empty((nt, grid.nx + 1)), np.empty((nt, grid.nx + 1))
-        c = mirror.split(pack_fields(
+        c = blocks.split(pack_fields(
             layout, initial.rho.values - rho_flat[0], initial.v.values, np.zeros(grid.shape),
             initial.eta1.values, initial.eta2.values,
         ))
@@ -544,8 +545,8 @@ class _GlobalEngine(_Engine):
                     no_deflection,
                     bundle.h[n] + R0 * rho_bar * th_sharp[n, :, -1] + Fd[n],
                 )
-                c = self.lu.solve(c / dt + mirror.split(forcing))
-            rho_c, v[n], th_c, e1[n], e2[n] = unpack_fields(layout, mirror.lift(c))
+                c = self.lu.solve(c / dt + blocks.split(forcing))
+            rho_c, v[n], th_c, e1[n], e2[n] = unpack_fields(layout, blocks.lift(c))
             rho[n] = rho_c + rho_flat[n]
             th_sharp[n] = th_c + th_sharp[n] + th_flat[n]
         return self._stacks(rho, v, th_sharp, e1, e2, (True, True))

@@ -45,14 +45,17 @@ is one sparse LU: at lam = 0, where A is singular, the system is bordered
 by the kernel vectors K and the functionals C, [[-A, K], [C, 0]].
 
 The grid and the rest state are symmetric under the mirror x -> L - x, and
-A commutes with it exactly, so `spectrum` solves A's even and odd blocks
-of about half the size after certifying that entry for entry.
+A commutes with it exactly.  `OperatorMatrix.blocks` certifies that entry
+for entry, once per operator, and holds A's even and odd blocks of about
+half the size; the spectra, the sector scans and the global march all work
+in those coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -73,11 +76,11 @@ from .linear_subsystems import (
     _velocity_unknowns,
     plate_operator,
 )
-from .mirror import MirrorBlocks
 
 __all__ = [
     "BlockLayout",
     "OperatorMatrix",
+    "MirrorBlocks",
     "SectorScanResult",
     "PerturbationReport",
     "block_layout",
@@ -93,7 +96,6 @@ __all__ = [
     "spectrum",
     "sector_rim",
     "resolvent_solve",
-    "energy_rate",
     "sector_scan",
     "gamma_search",
     "perturbation_check",
@@ -256,6 +258,12 @@ class OperatorMatrix:
     @property
     def shape(self):
         return self.matrix.shape
+
+    @cached_property
+    def blocks(self) -> "MirrorBlocks":
+        """This operator in the mirror's even/odd block coordinates, built
+        and certified on first read and kept for the operator's life."""
+        return MirrorBlocks(self)
 
 
 def _sbp_first_diff(n: int, h: float) -> sp.csr_matrix:
@@ -485,6 +493,124 @@ def kernel_dimension(op: OperatorMatrix, mean_zero_vals: np.ndarray) -> float:
     return 2.0 + float(np.sum(np.abs(mean_zero_vals) < 1e-8))
 
 
+# ---------------------------------------------------------- mirror blocks
+
+
+def _reflection(layout):
+    """The mirror x -> L - x as a signed permutation, (R x)[k] = sign[k]
+    x[perm[k]]: nodes (i, j) -> (nx - i, j), vx changes sign, the beam
+    blocks reverse."""
+    grid = layout.grid
+    node = np.arange(grid.n_nodes).reshape(grid.shape)[::-1].ravel()
+    inner = np.searchsorted(layout.interior_flat, node[layout.interior_flat])
+    beam = np.arange(layout.n_beam)[::-1]
+    parts = [(layout.sl_rho, node), (layout.sl_vx, inner), (layout.sl_vy, inner),
+             (layout.sl_theta, node), (layout.sl_eta1, beam), (layout.sl_eta2, beam)]
+    perm = np.concatenate([sl.start + idx for sl, idx in parts])
+    sign = np.ones(layout.total)
+    sign[layout.sl_vx] = -1.0
+    return perm, sign
+
+
+class MirrorBlocks:
+    """The blocked view `op.blocks` of an operator A: its invariant
+    subspaces under the mirror R, built once per operator.
+
+    When A commutes exactly with R (`(R A R != A).nnz == 0`), `bases` holds
+    R's even and odd subspaces as pairs (rows, P): each pair k < perm[k]
+    gives the column e_k + parity sign[k] e_perm[k], each fixed unknown
+    (the centre column) gives e_k to the block of its sign.  P is the
+    identity on `rows`, so A[rows] @ P is an exact similarity block of A.
+    Otherwise one block holds all of A, through the same code.  `basis`
+    stacks the blocks' P side by side; its columns are orthogonal: states
+    split by basis^T scaled with 1/|column|^2 and lift back by basis.
+    `parts` are the blocks A[rows] @ P and `matrix` is their block
+    diagonal, A in block coordinates.
+
+    The march reads only those; the rest is built on first read:
+    `components`, each block's strong components; the norm's Gram matrix G
+    moved over by congruence to basis^T G basis, which `apply` and `solve`
+    multiply and divide by (a non-diagonal one is factored, once); and
+    `project`, on a mean-zero operator the Gram-orthogonal projector
+    I - G^{-1} C^T (C G^{-1} C^T)^{-1} C onto {C x = 0} with the
+    constraint functionals C moved to C basis, elsewhere the identity.
+    Norms and constraints of states are unchanged by the move.
+    """
+
+    def __init__(self, op: OperatorMatrix):
+        n = op.shape[0]
+        k = np.arange(n)
+        perm, sign = k, np.ones(n)
+        if op.layout is not None:
+            mirror_perm, mirror_sign = _reflection(op.layout)
+            mirror = sp.csr_matrix((mirror_sign, (k, mirror_perm)), shape=(n, n))
+            if (mirror @ op.matrix @ mirror != op.matrix).nnz == 0:
+                perm, sign = mirror_perm, mirror_sign
+        bases = []
+        for parity in (1.0, -1.0):
+            rows = np.flatnonzero((k < perm) | ((k == perm) & (sign == parity)))
+            pair = np.flatnonzero(perm[rows] != rows)
+            entries = np.concatenate([np.ones(rows.size), parity * sign[rows[pair]]])
+            at = (np.concatenate([rows, perm[rows[pair]]]), np.concatenate([np.arange(rows.size), pair]))
+            if rows.size:
+                bases.append((rows, sp.csr_matrix((entries, at), shape=(n, rows.size))))
+        self.bases = bases
+        self.basis = sp.hstack([basis for _, basis in bases], format="csr")
+        self._split = (sp.diags(1.0 / self.basis.power(2).sum(axis=0).A1) @ self.basis.T).tocsr()
+        self.parts = [op.matrix[rows] @ basis for rows, basis in bases]
+        self.matrix = sp.block_diag(self.parts, format="csc")
+        # the norm and the constraints in state coordinates, small beside A:
+        # holding them instead of op keeps the view out of a reference cycle
+        # with the operator that caches it
+        self._weight = _weight_gram(op)
+        self._cons = constraint_functionals(op.layout, op.params) if op.domain == "mean_zero" else None
+
+    def split(self, state: np.ndarray) -> np.ndarray:
+        """Block coordinates of one state."""
+        return self._split @ state
+
+    def lift(self, coords: np.ndarray) -> np.ndarray:
+        """The state of one vector of block coordinates."""
+        return self.basis @ coords
+
+    @cached_property
+    def components(self) -> list:
+        """Per block, the strong components of its nonzero pattern as index
+        arrays; a stored zero would join components, and `parts` has none."""
+        out = []
+        for block in self.parts:
+            count, labels = csgraph.connected_components(block, directed=True, connection="strong")
+            out.append([np.flatnonzero(labels == c) for c in range(count)])
+        return out
+
+    @cached_property
+    def _gram(self):
+        gram = (self.basis.T @ self._weight @ self.basis).tocsr()
+        diag = gram.diagonal()
+        if gram.nnz == np.count_nonzero(diag):
+            return (lambda z: diag * z), (lambda z: z / diag)
+        glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
+        return (lambda z: gram @ z), glu.solve
+
+    def apply(self, coords: np.ndarray) -> np.ndarray:
+        """Block coordinates multiplied by the Gram basis^T G basis."""
+        return self._gram[0](coords)
+
+    def solve(self, coords: np.ndarray) -> np.ndarray:
+        """Block coordinates divided by the Gram basis^T G basis."""
+        return self._gram[1](coords)
+
+    @cached_property
+    def project(self):
+        """The projector onto {C x = 0} in block coordinates (see above)."""
+        if self._cons is None:
+            return lambda z: z
+        cons = (self.basis.T @ self._cons.T).T
+        ginv_ct = np.column_stack([self.solve(c.astype(complex)) for c in cons])
+        back = ginv_ct @ np.linalg.inv(cons @ ginv_ct)
+        return lambda z: z - back @ (cons @ z)
+
+
 # ---------------------------------------------------------------- spectra
 
 
@@ -492,11 +618,11 @@ def spectrum(op: OperatorMatrix, with_vectors: bool = False):
     """Dense eigenvalues sorted by descending real part, ties by descending
     imaginary part (a conjugate pair lists +Im first).
 
-    Each block of `MirrorBlocks` (two half-size blocks for an operator
-    certified to commute with the mirror x -> L - x, else all of A) stays
-    sparse: its eigenvalues are those of its principal submatrices on the
-    strong components of its nonzero pattern, each made dense for its own
-    eigensolve.  On the coupled generator these are the temperature
+    Each block of the view `op.blocks` (two half-size blocks for an
+    operator certified to commute with the mirror x -> L - x, else all of
+    A) stays sparse: its eigenvalues are those of its principal submatrices
+    on the strong components of its nonzero pattern, which the view finds
+    on the first spectrum, each made dense for its own eigensolve.  On the coupled generator these are the temperature
     unknowns, which no other unknown feeds, and the rest.  With
     `with_vectors` each block gets one dense `la.eig`, as eigenvectors are
     not local to the components; they are lifted through the block bases
@@ -512,25 +638,24 @@ def spectrum(op: OperatorMatrix, with_vectors: bool = False):
         raise ConfigError(
             f"dense eigensolve refused for dimension {n} > {MAX_DENSE_DIM}"
         )
-    vals, vecs = [], []
-    for rows, basis in MirrorBlocks(op).bases:
-        block = op.matrix[rows] @ basis  # stores no zeros, which would join components
-        if with_vectors:
-            w, v = la.eig(block.toarray())
-            vecs.append(basis @ v)
-        else:
-            count, labels = csgraph.connected_components(block, directed=True, connection="strong")
-            parts = (np.flatnonzero(labels == c) for c in range(count))
-            w = np.concatenate([la.eigvals(block[part][:, part].toarray()) for part in parts])
-        vals.append(w)
-    vals = np.concatenate(vals)
+    view = op.blocks
+    if with_vectors:
+        pairs = [la.eig(block.toarray()) for block in view.parts]
+        vals = np.concatenate([w for w, _ in pairs])
+        vecs = np.hstack([basis @ v for (_, basis), (_, v) in zip(view.bases, pairs)])
+    else:
+        vals = np.concatenate([
+            la.eigvals(block[part][:, part].toarray())
+            for block, parts in zip(view.parts, view.components)
+            for part in parts
+        ])
     keep = np.arange(vals.size)
     if op.domain == "mean_zero":
         keep = np.sort(np.argsort(np.abs(vals))[2:])
     order = keep[np.lexsort((-vals[keep].imag, -vals[keep].real))]
     if not with_vectors:
         return vals[order]
-    vecs = np.hstack(vecs)[:, order]
+    vecs = vecs[:, order]
     return vals[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
@@ -549,33 +674,6 @@ def sector_rim(op: OperatorMatrix) -> float:
     except spla.ArpackError as err:
         raise NumericsError(f"largest eigenvalue of {op.label} not found: {err}") from err
     return 10.0 ** math.ceil(math.log10(10.0 * abs(top[0])))
-
-
-def energy_rate(op: OperatorMatrix, vec: np.ndarray) -> float:
-    """Re <A x, x> in the quadratic form whose decay drives the stability
-    argument: weighted L2 on density (R0 theta_bar / rho_bar), velocity
-    (rho_bar) and beam velocity, plus the clamped bending form on the
-    deflection.  Negative for every temperature-free state."""
-    if op.layout is None:
-        raise ConfigError("energy rate needs a coupled operator with a layout")
-    layout, params = op.layout, op.params
-    grid = layout.grid
-    x = np.asarray(vec)
-    ax = op.matrix @ x
-    w_nodes = grid.weights.ravel()
-    w_int = w_nodes[layout.interior_flat]
-    w_beam = grid.beam_weights[1:-1]
-    c_rho = params.R0 * params.theta_bar / params.rho_bar
-
-    def pair(a, b, w):
-        return float(np.real(np.sum(a * np.conj(b) * w)))
-
-    total = c_rho * pair(ax[layout.sl_rho], x[layout.sl_rho], w_nodes)
-    total += params.rho_bar * pair(ax[layout.sl_vx], x[layout.sl_vx], w_int)
-    total += params.rho_bar * pair(ax[layout.sl_vy], x[layout.sl_vy], w_int)
-    total += pair(ax[layout.sl_eta2], x[layout.sl_eta2], w_beam)
-    total += pair(grid.ops.bih_clamped @ ax[layout.sl_eta1], x[layout.sl_eta1], w_beam)
-    return total
 
 
 # -------------------------------------------------------------- resolvent
@@ -671,72 +769,40 @@ def _weight_gram(op: OperatorMatrix) -> sp.csr_matrix:
     return sp.block_diag([sp.diags(op.weights[: eta1.start]), bending, sp.diags(op.weights[eta1.stop :])], format="csr")
 
 
-def _gram_maps(op: OperatorMatrix):
-    """(split, blocks, apply, solve, project): the scan's coordinates and norm.
-
-    The scan works in the block coordinates of `MirrorBlocks(op)`, with
-    block basis L: `split` takes a state there, and `blocks` is A there,
-    block diagonal (one block when A does not commute with the mirror).
-    The norm's Gram matrix G and the constraint functionals C move over by
-    congruence, to L^T G L and C L, so norms and constraints of states
-    are unchanged.  `apply` and `solve` multiply and divide by L^T G L; a
-    non-diagonal one is factored here, once per scan.  On a mean-zero
-    operator `project` is the Gram-orthogonal projector
-    I - G^{-1} C^T (C G^{-1} C^T)^{-1} C onto {C x = 0}, so that the scan
-    measures the norm of the restriction exactly; elsewhere it is the
-    identity.
-    """
-    mirror = MirrorBlocks(op)
-    gram = (mirror.basis.T @ _weight_gram(op) @ mirror.basis).tocsr()
-    diag = gram.diagonal()
-    if gram.nnz == np.count_nonzero(diag):
-        apply, solve = (lambda z: diag * z), (lambda z: z / diag)
-    else:
-        glu = _splu(gram.tocsc().astype(complex), "norm Gram factor")
-        apply, solve = (lambda z: gram @ z), glu.solve
-    maps = (mirror.split, mirror.block_diagonal(op.matrix), apply, solve)
-    if op.domain != "mean_zero":
-        return maps + (lambda z: z,)
-    cons = (mirror.basis.T @ constraint_functionals(op.layout, op.params).T).T
-    ginv_ct = np.column_stack([solve(c.astype(complex)) for c in cons])
-    lift = ginv_ct @ np.linalg.inv(cons @ ginv_ct)
-    return maps + (lambda z: z - lift @ (cons @ z),)
-
-
 def _scaled_resolvent_norm(
     op: OperatorMatrix,
     lam: complex,
-    gram_maps,
     rng: np.random.Generator,
     gamma: float,
 ) -> tuple[float, float, int]:
     """||lam (lam I - (A - gamma))^{-1} P|| in the quadrature norm via power
     iteration on the weighted normal operator, with the last step's
-    relative change and the factor's L + U nonzeros; `gram_maps` is
-    `_gram_maps(op)` and P its projector.  The shift is folded into the
-    factored lam + gamma, so no shifted copy of A is made."""
+    relative change and the factor's L + U nonzeros; the iteration runs in
+    the coordinates of `op.blocks`, with its Gram and its projector P.  The
+    shift is folded into the factored lam + gamma, so no shifted copy of A
+    is made."""
     n = op.shape[0]
-    split, blocks, w_apply, w_solve, project = gram_maps
-    mat = ((lam + gamma) * sp.identity(n, format="csc") - blocks).astype(complex)
+    view = op.blocks
+    mat = ((lam + gamma) * sp.identity(n, format="csc") - view.matrix).astype(complex)
     lu = _splu(mat, f"sector sample at {lam + gamma}")
 
     # power iteration on the weighted normal operator (R P)* R P; the
     # iterate stays in the range of P, which R leaves invariant, and the
     # singular value estimate is ||R x|| for the current unit-norm iterate
-    x = project(split(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    x /= np.sqrt(np.real(np.vdot(x, w_apply(x))))
+    x = view.project(view.split(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    x /= np.sqrt(np.real(np.vdot(x, view.apply(x))))
     y = lu.solve(x)
     rel = np.linalg.norm(mat @ y - x) / np.linalg.norm(x)
     if not rel <= RESOLVENT_RTOL:
         raise NumericsError(f"sector sample at {lam}: resolvent residual {rel:.3e} exceeds {RESOLVENT_RTOL:.1e}")
-    value = np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
+    value = np.sqrt(abs(np.real(np.vdot(y, view.apply(y)))))
     for _ in range(POWER_ITERS - 1):
-        z = project(w_solve(lu.solve(w_apply(y), trans="H")))
-        nrm = np.sqrt(abs(np.real(np.vdot(z, w_apply(z)))))
+        z = view.project(view.solve(lu.solve(view.apply(y), trans="H")))
+        nrm = np.sqrt(abs(np.real(np.vdot(z, view.apply(z)))))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericsError(f"power iteration collapsed at {lam}")
         y = lu.solve(z / nrm)
-        last, value = value, np.sqrt(abs(np.real(np.vdot(y, w_apply(y)))))
+        last, value = value, np.sqrt(abs(np.real(np.vdot(y, view.apply(y)))))
     return abs(lam) * value, abs(value - last) / value, lu.L.nnz + lu.U.nnz
 
 
@@ -755,11 +821,14 @@ def sector_scan(
     beta - ANGLE_MARGIN of the closed upper half are computed (the last
     falls back to beta/2, sampled once, when beta <= 2 ANGLE_MARGIN), and
     each stands for its conjugate below the real axis.  Each sample factors
-    (lam + gamma) I - A in the even/odd block coordinates of
-    `MirrorBlocks`, two half-size blocks for a mirror-symmetric operator.
-    Norms are quadrature-weighted Euclidean proxies for the function-space
-    norms; the scalar maximum stands in for the operator-family bound.  On
-    a mean-zero operator they are norms of the restriction to {C x = 0}.
+    (lam + gamma) I - A in the even/odd block coordinates of the view
+    `op.blocks`, two half-size blocks for a mirror-symmetric operator; the
+    view builds its Gram, the Gram's factor and its projector on the first
+    sample, once per operator, and `gamma_search` reuses them for every
+    shift.  Norms are quadrature-weighted Euclidean proxies for the
+    function-space norms; the scalar maximum stands in for the
+    operator-family bound.  On a mean-zero operator they are norms of the
+    restriction to {C x = 0}.
     Samples where the factorization fails, or whose first solve misses
     RESOLVENT_RTOL, are collected in `singular` with their conjugates
     instead of aborting the scan.
@@ -772,12 +841,11 @@ def sector_scan(
     if radii.size == 0 or np.any(radii <= 0):
         raise ConfigError("sector scan needs positive sample radii")
     rng = np.random.default_rng(seed)
-    gram_maps = _gram_maps(op)
     angles = dict.fromkeys([0.0, beta / 2.0, max(beta - ANGLE_MARGIN, beta * 0.5)])
     rows, kept, singular = [], [], []
     for lam in (r * np.exp(1j * phi) for r in radii for phi in angles):
         try:
-            rows.append(_scaled_resolvent_norm(op, lam, gram_maps, rng, gamma))
+            rows.append(_scaled_resolvent_norm(op, lam, rng, gamma))
         except NumericsError:
             singular += [lam] if lam.imag == 0 else [lam, lam.conjugate()]
             continue

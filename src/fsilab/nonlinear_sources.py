@@ -240,12 +240,12 @@ def eval_local_sources(state: FullState, map, X0metrics, rho0, params: PhysParam
 # ------------------------------------------------------------------ global sources
 
 
-def _global_density_source(state: FullState, map, params: PhysParams):
-    """(F1, grad v, B/delta - I): eval_global_sources' density source, bit
-    for bit and behind the same checks, with the pieces the others reuse."""
+def _global_density_source(state: FullState, BX: np.ndarray, dX: np.ndarray, params: PhysParams):
+    """(F1, grad v, B/delta - I): eval_global_sources' density source from
+    the map's cofactor B and determinant delta, bit for bit and behind the
+    same checks, with the pieces the others reuse."""
     params.require_global()
     ops = state.grid.ops
-    BX, dX, _ = _as_metrics(map)
     _certify(dX)
     rho = state.rho.values
     if np.min(rho + params.rho_bar) <= 0:
@@ -274,10 +274,10 @@ def eval_global_sources(
     raises a numerics error naming the first failing sample. The
     constant part is built from split_mean of density and temperature.
     """
-    F1, gv, metric_gap = _global_density_source(state, map, params)
+    BX, dX, AX = _as_metrics(map)
+    F1, gv, metric_gap = _global_density_source(state, BX, dX, params)
     grid = state.grid
     ops = grid.ops
-    BX, dX, AX = _as_metrics(map)
     eye = _identity_metric(grid)
     rho = state.rho.values
     theta = state.theta.values

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fsilab import chgvar, fs_operator
 from fsilab.cli_io import (
     MODES,
     SCENARIOS,
     RunConfig,
+    _mass_balance_drift,
     main,
     parse_config,
     print_config,
@@ -24,6 +26,7 @@ from fsilab.cli_io import (
     write_snapshot,
 )
 from fsilab.core_grid import FluidField, build_grid
+from fsilab.fixed_point import IterationConfig, conserved_quantities, run_global
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.fs_operator import assemble_coupled, spectrum
 from fsilab.linear_subsystems import default_params
@@ -280,6 +283,36 @@ def test_global_pluck_run_passes(tmp_path):
     assert report.passed
     balance = next(c for c in report.checks if c.name == "mass-balance-drift")
     assert balance.value <= 1e-12
+
+
+def test_mass_balance_builds_no_conormal_tensor(monkeypatch):
+    # the density source reads the map's cofactor and determinant only
+    g = build_grid(1.0, 1.0, 8, 8)
+    params = default_params()
+    traj, _ = run_global(scenario_library("beam-pluck", g), IterationConfig(T=0.5, dt=0.05, beta=0.1), params)
+    mass = conserved_quantities(traj, params).mass
+    calls = []
+    conormal = chgvar._conormal
+    monkeypatch.setattr(chgvar, "_conormal", lambda B, delta: calls.append(B.shape) or conormal(B, delta))
+    assert _mass_balance_drift(traj, mass, params) <= 1e-12
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = spectrum\nnx = 8\n",
+        "mode = sector\nnx = 8\nbeta = 2.356\n",
+        "mode = global\nnx = 8\nT = 0.5\ndt = 0.05\nbeta = 0.1\nscenario = beam-pluck\n",
+    ],
+    ids=["spectrum", "sector", "global"],
+)
+def test_a_run_builds_one_blocked_view_of_its_operator(tmp_path, text, monkeypatch):
+    built = []
+    init = fs_operator.MirrorBlocks.__init__
+    monkeypatch.setattr(fs_operator.MirrorBlocks, "__init__", lambda self, op: built.append(op) or init(self, op))
+    assert run_scenario(parse_config(text + f"out_dir = {tmp_path}\n")).passed
+    assert len(built) == 1
 
 
 def test_identical_config_and_seed_give_identical_csv(tmp_path):

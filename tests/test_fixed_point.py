@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsilab import fixed_point as fp
+from fsilab import fs_operator
 from fsilab import linear_subsystems as ls
 from fsilab.chgvar import DiffeoMap, build_cutoff, build_diffeo, initial_diffeo, suggested_floor, update_map
 from fsilab.core_grid import (
@@ -39,7 +40,6 @@ from fsilab.fixed_point import (
 )
 from fsilab.fs_operator import assemble_coupled
 from fsilab.linear_subsystems import SourceBundle, default_params, plate_energy
-from fsilab.mirror import MirrorBlocks
 from fsilab.nonlinear_sources import FullState, check_compatibility, eval_global_sources, eval_local_sources
 
 
@@ -721,9 +721,9 @@ def test_mirror_march_equals_full_matrix_march(n, monkeypatch):
     cfg = IterationConfig(T=0.2, dt=0.02, beta=0.1)
     st0 = global_bump_state(g, params)
     got = stacked_fields(march_global(st0, cfg, params, bundle=forcing_bundle(g, cfg)))
-    # reference: one identity block (no layout, so no mirror) and SuperLU's
+    # reference: one identity block (an identity mirror) and SuperLU's
     # default ordering on the full I/dt - A
-    monkeypatch.setattr(fp, "MirrorBlocks", lambda op: MirrorBlocks(dataclasses.replace(op, layout=None)))
+    monkeypatch.setattr(fs_operator, "_reflection", lambda layout: (np.arange(layout.total), np.ones(layout.total)))
     monkeypatch.setattr(fp, "_splu", lambda mat, what: spla.splu(mat.tocsc()))
     ref = stacked_fields(march_global(st0, cfg, params, bundle=forcing_bundle(g, cfg)))
     for a, b in zip(got, ref):
@@ -735,7 +735,7 @@ def test_coupled_march_factor_fill_is_under_six_tenths_of_the_full_matrix():
     params = default_params()
     cfg = IterationConfig(T=0.1, dt=0.01, beta=0.1)
     eng = fp._GlobalEngine(global_bump_state(g, params), cfg, params)
-    assert len(eng.mirror.bases) == 2
+    assert len(eng.blocks.bases) == 2
     op = assemble_coupled(g, params)
     full = spla.splu((sp.identity(op.shape[0], format="csc") / cfg.dt - op.matrix).tocsc())
     assert eng.lu.L.nnz + eng.lu.U.nnz <= 0.6 * (full.L.nnz + full.U.nnz)
@@ -752,6 +752,7 @@ def test_every_march_factor_solves_to_round_off(monkeypatch):
 
     monkeypatch.setattr(fp, "_splu", recording)
     monkeypatch.setattr(ls, "_splu", recording)
+    monkeypatch.setattr(fs_operator, "_splu", recording)  # a Gram factor would show here
     g = unit_grid(16)
     params = default_params()
     fp._GlobalEngine(global_bump_state(g, params), IterationConfig(T=0.1, dt=0.01, beta=0.1), params)
@@ -768,14 +769,15 @@ def test_mirror_blocks_split_and_lift_whole_stacks():
     g = unit_grid(8)
     params = default_params()
     op = assemble_coupled(g, params)
-    mirror = MirrorBlocks(op)
+    mirror = op.blocks
     M = (sp.identity(op.shape[0], format="csr") / 0.01 - op.matrix).tocsr()
     X = np.random.default_rng(4).standard_normal((6, op.shape[0]))
     Y = np.array([mirror.split(x) for x in X])
     back = np.array([mirror.lift(y) for y in Y])
     assert np.max(np.abs(back - X)) <= 4e-16 * np.max(np.abs(X))
-    # the block-diagonal matrix acts on block coordinates as M acts on states
-    BD = mirror.block_diagonal(M)
+    # the march matrix, I/dt minus the view's block-diagonal matrix, acts on
+    # block coordinates as M acts on states
+    BD = sp.identity(op.shape[0], format="csc") / 0.01 - mirror.matrix
     MX = (M @ X.T).T
     assert np.max(np.abs(BD @ Y[2] - mirror.split(MX[2]))) <= 1e-12 * np.max(np.abs(MX))
     assert np.max(np.abs(np.array([mirror.lift(BD @ y) for y in Y]) - MX)) <= 1e-12 * np.max(np.abs(MX))

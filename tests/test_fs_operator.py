@@ -11,17 +11,16 @@ from fsilab.core_grid import build_grid
 from fsilab.errors import ConfigError, NumericsError
 from fsilab.linear_subsystems import default_params, plate_operator
 import fsilab.fs_operator as fs_operator
-from fsilab.mirror import MirrorBlocks, _reflection
 from fsilab.fs_operator import (
+    MirrorBlocks,
     OperatorMatrix,
-    _gram_maps,
+    _reflection,
     _splu,
     _weight_gram,
     assemble_block,
     assemble_coupled,
     block_layout,
     constraint_functionals,
-    energy_rate,
     gamma_search,
     kernel_vectors,
     pack_fields,
@@ -351,7 +350,7 @@ def test_reflection_is_an_involution_on_the_layout(H, nx, ny):
 @pytest.mark.parametrize("H, nx, ny", MIRROR_GRIDS)
 def test_split_spectrum_equals_dense_eigenvalues(H, nx, ny, restrict):
     op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
-    bases = MirrorBlocks(op).bases
+    bases = op.blocks.bases
     assert len(bases) == 2
     assert sum(rows.size for rows, _ in bases) == op.shape[0]
     ref = _dense_spectrum(op.matrix, restrict)
@@ -393,8 +392,9 @@ def test_mirror_blocks_split_into_temperature_and_the_rest(H, nx, ny, monkeypatc
     op = assemble_coupled(build_grid(1.0, H, nx, ny), default_params())
     theta = op.layout.sl_theta
     want = []
-    for rows, basis in MirrorBlocks(op).bases:
+    for (rows, basis), found in zip(op.blocks.bases, op.blocks.components):
         parts = _strong_components(op.matrix[rows] @ basis)
+        assert [part.tolist() for part in found] == [part.tolist() for part in parts]
         temperature = np.flatnonzero((rows >= theta.start) & (rows < theta.stop))
         assert len(parts) == 2
         assert any(np.array_equal(part, temperature) for part in parts)
@@ -444,21 +444,21 @@ def test_kernel_eigenvalues_lie_in_the_even_block():
     assert np.abs(sign[:, None] * kern[perm] - kern).max() < 1e-12 * np.abs(kern).max()
     small = [
         np.sum(np.abs(la.eigvals((op.matrix[rows] @ basis).toarray())) < 1e-8)
-        for rows, basis in MirrorBlocks(op).bases
+        for rows, basis in op.blocks.bases
     ]
     assert small == [2, 0]
 
 
 def test_broken_mirror_symmetry_falls_back_to_one_block():
     op = _bumped(coupled(8))
-    assert len(MirrorBlocks(op).bases) == 1
+    assert len(op.blocks.bases) == 1
     for restrict in ("full", "mean_zero"):
         ref = _dense_spectrum(op.matrix, restrict)
         vals = spectrum(_on(op, restrict))
         assert vals.size == ref.size
         assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
     grid = unit_grid(8)
-    assert len(MirrorBlocks(assemble_block(grid, default_params(), "plate")).bases) == 1
+    assert len(assemble_block(grid, default_params(), "plate").blocks.bases) == 1
 
 
 @pytest.mark.parametrize("case", ["nx7", "nx8", "bumped"])
@@ -503,8 +503,8 @@ def test_gram_projector_is_orthogonal_onto_mean_zero():
     # the projector of the full coordinates
     op = restrict_Xm(coupled(6))
     gram = _weight_gram(op)
-    split, *_, project_blocks = _gram_maps(op)
-    project = lambda z: MirrorBlocks(op).lift(project_blocks(split(z)))
+    view = op.blocks
+    project = lambda z: view.lift(view.project(view.split(z)))
     cons = constraint_functionals(op.layout, op.params)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
@@ -515,10 +515,15 @@ def test_gram_projector_is_orthogonal_onto_mean_zero():
     assert np.linalg.norm(project(px) - px) < 1e-12 * scale
     # self-adjoint in the Gram inner product: <P x, y>_G = <x, P y>_G
     assert abs(np.vdot(y, gram @ px) - np.vdot(py, gram @ x)) < 1e-12 * abs(np.vdot(y, gram @ x)) + 1e-12
-    assert _gram_maps(coupled(6))[4](x) is x
+    assert coupled(6).blocks.project(x) is x
 
 
 # ---------------- energy dissipation
+
+
+def energy_rate(op, x):
+    """Re <A x, x> in the Gram of `_weight_gram`, the norm of the sector scans."""
+    return float(np.real(np.vdot(x, _weight_gram(op) @ (op.matrix @ x))))
 
 
 def test_energy_rate_negative_for_temperature_free_states():
@@ -751,8 +756,8 @@ def test_non_mirror_operators_keep_their_values(which, monkeypatch):
         )
     else:
         op = restrict_Xm(coupled(8))
-        monkeypatch.setattr(fs_operator, "MirrorBlocks", lambda o: MirrorBlocks(dataclasses.replace(o, layout=None)))
-    assert len(fs_operator.MirrorBlocks(op).bases) == 1
+        monkeypatch.setattr(fs_operator, "_reflection", lambda layout: (np.arange(layout.total), np.ones(layout.total)))
+    assert len(op.blocks.bases) == 1
     scan = sector_scan(op, 2.356, [1e-2, 1.0, 1e2], seed=4)
     ref = _dense_projected_norms(op, scan.lambdas, seed=4)
     assert scan.values.size == 9
@@ -779,7 +784,7 @@ def test_sector_residual_guard_names_the_sample(monkeypatch):
     monkeypatch.setattr(fs_operator, "RESOLVENT_RTOL", 0.0)
     lam = 1.0 * np.exp(0.5j)
     with pytest.raises(NumericsError, match=re.escape(f"sector sample at {lam}")):
-        fs_operator._scaled_resolvent_norm(defl, lam, _gram_maps(defl), np.random.default_rng(0), 0.0)
+        fs_operator._scaled_resolvent_norm(defl, lam, np.random.default_rng(0), 0.0)
     # the scan collects the failure as a singular sample, with its conjugate
     scan = sector_scan(defl, BETA, [1.0])
     assert scan.values.size == 0 and len(scan.singular) == 5 and not scan.passed
@@ -825,6 +830,35 @@ def test_gamma_search_stable_operator_needs_no_shift():
     gamma, result = gamma_search(defl, BETA, [1e-2, 1.0, 1e2])
     assert gamma == 0.0
     assert result.passed
+
+
+def test_gamma_search_builds_one_view_and_one_gram_factor(monkeypatch):
+    # the view, its Gram factor and its projector belong to the operator:
+    # every shift the search tries reuses them
+    views, factors = [], []
+    init, scan, splu = MirrorBlocks.__init__, fs_operator.sector_scan, fs_operator._splu
+
+    def counted_init(self, op):
+        views.append(op)
+        init(self, op)
+
+    def counted_splu(mat, what):
+        factors.append(what)
+        return splu(mat, what)
+
+    def singular_at_zero(op, beta, radii, gamma=0.0, seed=0):
+        result = scan(op, beta, radii, gamma=gamma, seed=seed)
+        return dataclasses.replace(result, singular=(1.0,)) if gamma == 0.0 else result
+
+    monkeypatch.setattr(MirrorBlocks, "__init__", counted_init)
+    monkeypatch.setattr(fs_operator, "_splu", counted_splu)
+    monkeypatch.setattr(fs_operator, "sector_scan", singular_at_zero)
+    defl = restrict_Xm(coupled(6))
+    gamma, result = gamma_search(defl, BETA, [1e-2, 1.0])
+    assert gamma == 1.0 and result.passed
+    assert len(views) == 1 and views[0] is defl
+    assert factors.count("norm Gram factor") == 1
+    assert len(factors) == 1 + 2 * 6  # two scans of two radii on three rays
 
 
 def test_narrow_sector_samples_each_ray_once():

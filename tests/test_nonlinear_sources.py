@@ -427,17 +427,17 @@ def test_density_source_helper_matches_full_evaluation_on_a_trajectory():
         dtheta_dt=_difference_quotients(states.theta.values, cfg.dt),
     )
     assert np.max(np.abs(full[0])) > 0
-    assert same_bits(_global_density_source(states, maps, p)[0], full[0])
+    assert same_bits(_global_density_source(states, maps.B, maps.delta, p)[0], full[0])
 
 
 def test_density_source_helper_keeps_the_checks():
     g = unit_grid(8)
-    B, delta, A = metric_tensors(g, identity_map(g))
+    B, delta, _ = metric_tensors(g, identity_map(g))
     bad_delta = delta.copy()
     bad_delta[3, 3] = -0.1
     with pytest.raises(DiffeoFailure):
-        _global_density_source(make_state(g), (B, bad_delta, A), PhysParams())
+        _global_density_source(make_state(g), B, bad_delta, PhysParams())
     with pytest.raises(ConfigError):
-        _global_density_source(make_state(g, rho=np.full(g.shape, -2.0)), (B, delta, A), PhysParams())
+        _global_density_source(make_state(g, rho=np.full(g.shape, -2.0)), B, delta, PhysParams())
     with pytest.raises(ConfigError):
-        _global_density_source(make_state(g), (B, delta, A), PhysParams(pi0=0.5))
+        _global_density_source(make_state(g), B, delta, PhysParams(pi0=0.5))
